@@ -1,7 +1,13 @@
-"""Tiny exact linear algebra over Z and Fraction for lattice bookkeeping.
+"""Exact linear algebra: integer lattice helpers and the one elimination kernel.
 
 Everything here is desk scale (matrices of size at most ~15); clarity over speed.
-Matrices are row-major tuples of tuples of ints unless stated otherwise.
+Lattice matrices are row-major tuples of tuples of ints.
+
+The elimination routines (`rref`, `mat_rank`, `nullspace`, `solve`, `mat_det`,
+`mat_inverse`) work over any field object with the methods `add`, `sub`,
+`mul`, `neg` and `inv`, whose elements compare equal to the ints 0 and 1 at
+zero and one.  `QQ` below is the rationals; `gf.FiniteField` is F_{p^k} on
+int-encoded elements.  Matrices there are lists (or tuples) of rows.
 """
 
 from __future__ import annotations
@@ -28,140 +34,119 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
 def dot(u: Vec, v: Vec) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def mat_det(m: Mat) -> Fraction:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [a[r][j] - f * a[col][j] for j in range(n)]
-    return det
+class _Rationals:
+    """The field Q under the field protocol; elements are ints or Fractions."""
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return Fraction(1, a)
+
+    def __repr__(self) -> str:
+        return "QQ"
 
 
-def mat_inv(m: Mat) -> Mat:
-    """Inverse of an integer matrix with det +-1 (lattice automorphism)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [a[r][j] - f * a[col][j] for j in range(2 * n)]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        assert all(x.denominator == 1 for x in row), "matrix is not unimodular"
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+QQ = _Rationals()
 
 
-def solve_fraction(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly."""
-    n = len(a)
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [aug[r][j] - f * aug[col][j] for j in range(n + 1)]
-    return [aug[i][n] for i in range(n)]
-
-
-def rank_fraction(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    a = [row[:] for row in rows]
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [a[r][j] - f * a[rank][j] for j in range(ncols)]
-        rank += 1
-    return rank
-
-
-def _rref_fraction(rows: list[list[Fraction]]):
+def rref(field, rows):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
     a = [row[:] for row in rows]
     if not a:
         return a, []
     ncols = len(a[0])
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [a[r][j] - f * a[rank][j] for j in range(ncols)]
-        pivots.append(col)
-        rank += 1
+        a[r], a[piv] = a[piv], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(x, inv) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [field.sub(a[i][j], field.mul(f, a[r][j])) for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
     return a, pivots
 
 
-def nullspace_fraction(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a (possibly rectangular) matrix."""
+def mat_rank(field, rows) -> int:
+    return len(rref(field, rows)[1])
+
+
+def nullspace(field, rows):
+    """Basis of the right kernel of the matrix (list of column vectors)."""
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = _rref_fraction(rows)
+    red, pivots = rref(field, rows)
+    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
+            v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
 
 
-def solve_rectangular_fraction(columns: list[list[Fraction]], target: list[Fraction]):
-    """Coefficients c with sum c_j * columns[j] = target, or None if inconsistent."""
+def solve(field, columns, target):
+    """Coefficients c with sum_j c[j] * columns[j] = target, or None if inconsistent."""
+    k = len(columns)
     rows = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
-    red, pivots = _rref_fraction(rows)
-    ncols = len(columns)
-    if ncols in pivots:
+    red, pivots = rref(field, rows)
+    if k in pivots:
         return None
-    out = [Fraction(0)] * ncols
+    out = [0] * k
     for r, pc in enumerate(pivots):
-        out[pc] = red[r][ncols]
+        out[pc] = red[r][k]
     return out
+
+
+def mat_det(field, rows):
+    a = [row[:] for row in rows]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = field.neg(det)
+        det = field.mul(det, a[c][c])
+        inv = field.inv(a[c][c])
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = field.mul(a[i][c], inv)
+                a[i] = [field.sub(a[i][j], field.mul(f, a[c][j])) for j in range(n)]
+    return det
+
+
+def mat_inverse(field, rows):
+    n = len(rows)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = rref(field, aug)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in red[:n]]

@@ -18,12 +18,24 @@ class BudgetExceededError(RuntimeError):
 
 
 def current_budget(override: int | None = None) -> int:
+    """The override, else PARAM_ATLAS_BUDGET, else the default.
+
+    Raises ValueError naming the source when the value is not an integer >= 0.
+    """
     if override is not None:
-        return override
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+        source, value = "--budget", override
+    else:
+        env = os.environ.get(ENV_VAR)
+        if not env:
+            return DEFAULT_BUDGET
+        source = ENV_VAR
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer >= 0, got {env!r}") from None
+    if value < 0:
+        raise ValueError(f"{source} must be an integer >= 0, got {value}")
+    return value
 
 
 def check_budget(required: int, what: str, override: int | None = None) -> None:

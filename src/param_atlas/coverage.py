@@ -151,12 +151,6 @@ def is_regular_in(cls: UnipotentClass, levi: StandardLevi) -> bool:
     return levi.jordan_contribution() == cls.partition
 
 
-def is_distinguished(cls: UnipotentClass, datum: GroupDatum) -> bool:
-    if cls.family != datum.family or cls.ambient != datum.n:
-        raise ValueError(f"class {cls.partition} does not belong to {datum.name}")
-    return cls.distinguished
-
-
 def _reaches_twisted_class(datum: GroupDatum, levi: StandardLevi, identity_rep: bool) -> bool:
     if identity_rep:
         return True

@@ -5,12 +5,15 @@ the coefficients of the residue polynomial (little-endian).  Fields up to 2^16
 elements are supported; fields of order <= 256 get full multiplication and
 inverse tables.  Everything downstream (commutant solving, Jacobian probes,
 point counts) works over these encodings, so results are exact by construction.
+Elimination (`rref`, `nullspace`, `mat_rank`, `mat_det`, `mat_inverse`) is the
+field-generic kernel of `_linalg`, re-exported here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from ._linalg import mat_det, mat_inverse, mat_rank, nullspace, rref
 from .root_datum import _is_prime
 
 _TABLE_LIMIT = 256
@@ -289,82 +292,6 @@ def mat_pow(field: FiniteField, a, e: int):
         base = mat_mul(field, base, base)
         e >>= 1
     return result
-
-
-def rref(field: FiniteField, rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    a = [row[:] for row in rows]
-    if not a:
-        return a, []
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [field.sub(a[i][j], field.mul(f, a[r][j])) for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a, pivots
-
-
-def mat_rank(field: FiniteField, rows) -> int:
-    return len(rref(field, rows)[1])
-
-
-def nullspace(field: FiniteField, rows):
-    """Basis of the right kernel of the matrix (list of column vectors)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
-        basis.append(v)
-    return basis
-
-
-def mat_det(field: FiniteField, rows) -> int:
-    a = [row[:] for row in rows]
-    n = len(a)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = field.neg(det)
-        det = field.mul(det, a[c][c])
-        inv = field.inv(a[c][c])
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = field.mul(a[i][c], inv)
-                a[i] = [field.sub(a[i][j], field.mul(f, a[c][j])) for j in range(n)]
-    return det
-
-
-def mat_inverse(field: FiniteField, rows):
-    n = len(rows)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in red[:n]]
 
 
 def charpoly(field: FiniteField, a) -> list[int]:

@@ -21,11 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 import itertools
 
-from ._linalg import Vec, dot, rank_fraction
+from ._linalg import QQ, Vec, dot, mat_rank, solve
 from .budget import check_budget
 from .laurent import LaurentPolynomial
 from .root_datum import (
-    ArithmeticContext,
     GroupDatum,
     dominant_representative,
     height,
@@ -151,35 +150,12 @@ def _decompose_dominant(gens: GeneratorSet, lam: Vec) -> dict[int, int]:
 
 def _solve_integer(cols: list[Vec], target: Vec) -> list[int]:
     """Solve sum c_j * cols[j] = target with integer c_j (cols independent)."""
-    rows = len(target)
-    aug = [[Fraction(cols[j][i]) for j in range(len(cols))] + [Fraction(target[i])]
-           for i in range(rows)]
-    ncols = len(cols)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((k for k in range(r, rows) if aug[k][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for k in range(rows):
-            if k != r and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [aug[k][j] - f * aug[r][j] for j in range(ncols + 1)]
-        pivots.append(c)
-        r += 1
-    for k in range(r, rows):
-        if aug[k][ncols] != 0:
-            raise NotInvariantError("weight is outside the generator lattice")
-    out = [0] * ncols
-    for row, c in enumerate(pivots):
-        val = aug[row][ncols]
-        if val.denominator != 1:
-            raise NotInvariantError("weight needs fractional generator exponents")
-        out[c] = int(val)
-    return out
+    coeffs = solve(QQ, cols, target)
+    if coeffs is None:
+        raise NotInvariantError("weight is outside the generator lattice")
+    if any(c.denominator != 1 for c in coeffs):
+        raise NotInvariantError("weight needs fractional generator exponents")
+    return [int(c) for c in coeffs]
 
 
 def rewrite_in_generators(datum: GroupDatum, gens: GeneratorSet,
@@ -226,7 +202,7 @@ def generator_jacobian_rank(datum: GroupDatum, point: list[Fraction]) -> int:
     gens = fundamental_invariants(datum)
     rows = [[Fraction(g.derivative(j).evaluate(point)) for j in range(datum.torus_rank)]
             for g in gens.polys]
-    return rank_fraction(rows)
+    return mat_rank(QQ, rows)
 
 
 # -- fixed-ring presentations ----------------------------------------------
@@ -342,7 +318,3 @@ def count_points(pres: RingPresentation, ell: int, k: int = 1,
             coeffs[e + shift] = field.from_int(c)
         mult = poly_gcd_degree(field, coeffs, poly_derivative(field, coeffs))
     return CountReport(count, order, total, mult)
-
-
-def arithmetic_context_for(q: int, ell: int | None) -> ArithmeticContext:
-    return ArithmeticContext(q=q, ell=ell)

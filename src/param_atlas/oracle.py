@@ -17,7 +17,7 @@ from itertools import product
 from typing import Mapping, Optional
 
 from . import gf
-from ._linalg import nullspace_fraction, solve_rectangular_fraction
+from ._linalg import QQ, nullspace, solve
 from .budget import check_budget
 from .census import ExplicitGroup
 from .coverage import StandardLevi
@@ -380,10 +380,10 @@ def lie_root_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], .
                         val += jmat[a][y]
                     if y == b:
                         val += jmat[x][a]
-                    flat.append(Fraction(val))
+                    flat.append(val)
             constraint_cols.append(flat)
         rows = [[col[i] for col in constraint_cols] for i in range(n * n)]
-        kernel = nullspace_fraction(rows)
+        kernel = nullspace(QQ, rows)
         if len(kernel) != 1:
             raise RuntimeError("symplectic root space is not one-dimensional")  # pragma: no cover
         coeffs = kernel[0]
@@ -420,9 +420,7 @@ def lie_torus_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], 
 
 
 def _simple_coefficients(datum: GroupDatum, alpha) -> list[Fraction]:
-    cols = [[Fraction(x) for x in datum.roots[i]] for i in datum.simple]
-    target = [Fraction(x) for x in alpha]
-    coeffs = solve_rectangular_fraction(cols, target)
+    coeffs = solve(QQ, [datum.roots[i] for i in datum.simple], alpha)
     if coeffs is None:
         raise RuntimeError("root outside the simple-root span")  # pragma: no cover
     return coeffs
@@ -449,25 +447,13 @@ def _flat(mat) -> list[int]:
     return [x for row in mat for x in row]
 
 
-def _expand_in_span(field: FiniteField, columns: list[list[int]], target: list[int]):
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
-    red, pivots = gf.rref(field, rows)
-    k = len(columns)
-    if k in pivots:
-        return None
-    out = [0] * k
-    for r, pc in enumerate(pivots):
-        out[pc] = red[r][k]
-    return out
-
-
 def _ad_matrix(field: FiniteField, m: Matrix, m_inv: Matrix, basis: list[Matrix]):
     """Matrix of X -> m X m^-1 on the span of basis; None if the span leaks."""
     columns = [_flat(int_matrix(field, b)) for b in basis]
     out_cols = []
     for b in basis:
         y = gf.mat_mul(field, gf.mat_mul(field, m, int_matrix(field, b)), m_inv)
-        coeffs = _expand_in_span(field, columns, _flat(y))
+        coeffs = solve(field, columns, _flat(y))
         if coeffs is None:
             return None
         out_cols.append(coeffs)

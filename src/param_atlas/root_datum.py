@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 
-from ._linalg import Mat, Vec, dot, mat_id, mat_inv, mat_mul, mat_vec, solve_fraction
+from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_mul, mat_vec, solve
 
 SUPPORTED_PRESETS = "GL_n (n>=1), SL_n (n>=2), GSp_4, GSp_6, U_n (n>=2)"
 
@@ -56,15 +56,6 @@ class GroupDatum:
 
     def pairing(self, weight: Vec, coweight: Vec) -> int:
         return dot(weight, coweight)
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: Mat
-    word: tuple[int, ...]       # reduced word in simple reflection indices
-
-    def __call__(self, weight: Vec) -> Vec:
-        return mat_vec(self.matrix, weight)
 
 
 class UnsupportedPresetError(ValueError):
@@ -117,12 +108,6 @@ class ArithmeticContext:
                 raise ValueError(f"ell must be prime, got {self.ell}")
             if self.ell == p:
                 raise ValueError(f"ell must not divide q (q = {self.q}, ell = {self.ell})")
-
-    @property
-    def residue_char(self) -> int:
-        p = prime_power_base(self.q)
-        assert p is not None
-        return p
 
 
 def _gl_datum(family: str, n: int, gamma_order: int, frobenius: Mat) -> GroupDatum:
@@ -238,33 +223,6 @@ def weyl_order(datum: GroupDatum) -> int:
     return (2 ** m) * math.factorial(m)
 
 
-@lru_cache(maxsize=None)
-def weyl_elements(datum: GroupDatum) -> tuple[WeylElement, ...]:
-    """Enumerate W by breadth-first closure over the simple reflections.
-
-    BFS from the identity yields shortest words, i.e. reduced words.
-    """
-    gens = [reflection_matrix(datum, i) for i in datum.simple]
-    identity = WeylElement(mat_id(datum.torus_rank), ())
-    seen: dict[Mat, WeylElement] = {identity.matrix: identity}
-    queue = deque([identity])
-    while queue:
-        w = queue.popleft()
-        for s, g in enumerate(gens):
-            m = mat_mul(w.matrix, g)
-            if m not in seen:
-                nxt = WeylElement(m, w.word + (s,))
-                seen[m] = nxt
-                queue.append(nxt)
-    out = sorted(seen.values(), key=lambda w: (len(w.word), w.word))
-    assert len(out) == weyl_order(datum)
-    return tuple(out)
-
-
-def frobenius_on_lattice(datum: GroupDatum) -> Mat:
-    return datum.frobenius_dual
-
-
 def orbit_of_weight(datum: GroupDatum, weight: Vec) -> tuple[Vec, ...]:
     """W-orbit of a weight, by closure under the simple reflections only."""
     gens = [reflection_matrix(datum, i) for i in datum.simple]
@@ -308,9 +266,9 @@ def _rho_covector(datum: GroupDatum) -> tuple[Fraction, ...]:
     k = len(simples)
     if k == 0:
         return tuple(Fraction(0) for _ in range(datum.torus_rank))
-    cartan = [[Fraction(dot(simples[i], cosimples[j])) for j in range(k)]
-              for i in range(k)]
-    coeffs = solve_fraction(cartan, [Fraction(1)] * k)
+    # column j of the Cartan matrix <alpha_i, alpha_j^vee>
+    cartan_cols = [[dot(simples[i], cosimples[j]) for i in range(k)] for j in range(k)]
+    coeffs = solve(QQ, cartan_cols, [1] * k)
     rho = [Fraction(0)] * datum.torus_rank
     for c, cv in zip(coeffs, cosimples):
         for idx, entry in enumerate(cv):
@@ -324,20 +282,11 @@ def height(datum: GroupDatum, weight: Vec) -> Fraction:
 
 
 def frobenius_normalizes_weyl(datum: GroupDatum) -> bool:
+    """Whether F W F^-1 = W for the Frobenius dual F.
+
+    W is generated by the simple reflections and its reflections are the
+    s_beta, so this holds exactly when every F s_i = s_beta F for some root beta.
+    """
     frob = datum.frobenius_dual
-    frob_inv = mat_inv(frob)
-    wset = {w.matrix for w in weyl_elements(datum)}
-    return all(mat_mul(mat_mul(frob, m), frob_inv) in wset for m in wset)
-
-
-def datum_to_dict(datum: GroupDatum) -> dict:
-    """JSON-ready summary; lattice matrices are row-major integer arrays."""
-    return {
-        "family": datum.family,
-        "n": datum.n,
-        "torus_rank": datum.torus_rank,
-        "gamma_order": datum.gamma_order,
-        "frobenius_dual": [list(row) for row in datum.frobenius_dual],
-        "simple_roots": [list(r) for r in datum.simple_roots],
-        "weyl_order": weyl_order(datum),
-    }
+    s_beta_f = {mat_mul(reflection_matrix(datum, b), frob) for b in range(len(datum.roots))}
+    return all(mat_mul(frob, reflection_matrix(datum, i)) in s_beta_f for i in datum.simple)

@@ -187,6 +187,28 @@ def test_exit_code_budget(capsys):
     assert "--budget" in err  # message says how to raise it
 
 
+def test_exit_code_negative_budget_flag(capsys):
+    code, _, err = run(capsys, "oracle", "twisted", "--order", "4", "--budget", "-1")
+    assert code == 2
+    assert "--budget" in err and "-1" in err
+
+
+@pytest.mark.parametrize("value", ["-3", "abc"])
+def test_exit_code_bad_budget_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("PARAM_ATLAS_BUDGET", value)
+    code, _, err = run(capsys, "oracle", "twisted", "--order", "4")
+    assert code == 2
+    assert "PARAM_ATLAS_BUDGET" in err and value in err
+    assert "invalid literal" not in err
+
+
+def test_budget_env_is_used(capsys, monkeypatch):
+    monkeypatch.setenv("PARAM_ATLAS_BUDGET", "100")
+    code, _, err = run(capsys, "oracle", "twisted", "--order", "40")
+    assert code == 3
+    assert "budget is 100" in err
+
+
 def test_exit_code_missing_required_flag():
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "commutant", "--group", "sl2", "--q", "3"])

@@ -1,0 +1,79 @@
+"""The shared elimination kernel over Q and over finite fields."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from param_atlas._linalg import QQ, mat_det, mat_inverse, mat_rank, nullspace, solve
+from param_atlas.gf import get_field
+from param_atlas.invariant_rings import NotInvariantError, _solve_integer
+
+FIELDS = [QQ, get_field(7), get_field(3, 2)]
+
+
+def _element(field, rng):
+    # half zeros, so random matrices are often rank-deficient
+    if rng.random() < 0.5:
+        return 0
+    if field is QQ:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return rng.randrange(field.order)
+
+
+def _matrix(field, rng, nrows, ncols):
+    return [[_element(field, rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _dot(field, u, v):
+    s = 0
+    for x, y in zip(u, v):
+        s = field.add(s, field.mul(x, y))
+    return s
+
+
+def _apply(field, rows, v):
+    return [_dot(field, row, v) for row in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_over_field(field, seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    a = _matrix(field, rng, nrows, ncols)
+    kernel = nullspace(field, a)
+    for v in kernel:
+        assert any(x != 0 for x in v)
+        assert all(x == 0 for x in _apply(field, a, v))
+    assert mat_rank(field, a) + len(kernel) == ncols
+
+    columns = [[row[j] for row in a] for j in range(ncols)]
+    transpose_kernel = nullspace(field, columns)  # left kernel of a
+    for target in (_apply(field, a, [_element(field, rng) for _ in range(ncols)]),
+                   [_element(field, rng) for _ in range(nrows)]):
+        coeffs = solve(field, columns, target)
+        if coeffs is None:
+            # certificate of inconsistency: y a = 0 and y . target != 0
+            assert any(_dot(field, y, target) != 0 for y in transpose_kernel)
+        else:
+            assert _apply(field, a, coeffs) == target
+
+    square = _matrix(field, rng, ncols, ncols)
+    if mat_det(field, square) == 0:
+        with pytest.raises(ZeroDivisionError):
+            mat_inverse(field, square)
+    else:
+        inv = mat_inverse(field, square)
+        identity = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+        cols_of_inv = [[row[j] for row in inv] for j in range(ncols)]
+        product = [[_dot(field, row, col) for col in cols_of_inv] for row in square]
+        assert product == identity
+
+
+def test_solve_integer_branches():
+    assert _solve_integer([(1, 1), (0, 1)], (2, 5)) == [2, 3]
+    with pytest.raises(NotInvariantError, match="fractional"):
+        _solve_integer([(2, 0)], (1, 0))
+    with pytest.raises(NotInvariantError, match="outside the generator lattice"):
+        _solve_integer([(1, 0)], (0, 1))

@@ -1,18 +1,18 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from param_atlas._linalg import mat_vec
+from param_atlas._linalg import dot, mat_vec
 from param_atlas.root_datum import (
     ArithmeticContext,
     UnsupportedPresetError,
     build_group,
     dominant_representative,
     frobenius_normalizes_weyl,
-    frobenius_on_lattice,
     is_dominant,
     orbit_of_weight,
     prime_power_base,
-    weyl_elements,
     weyl_order,
 )
 
@@ -55,7 +55,10 @@ def test_preset_shapes(family, n, rank, nroots, worder):
     assert datum.torus_rank == rank
     assert len(datum.roots) == nroots
     assert weyl_order(datum) == worder
-    assert len(weyl_elements(datum)) == worder
+    # W acts freely on regular weights, so a regular orbit has |W| elements
+    regular = tuple(range(rank, 0, -1))
+    assert all(dot(regular, coroot) != 0 for coroot in datum.coroots)
+    assert len(orbit_of_weight(datum, regular)) == worder
 
 
 def test_unsupported_presets():
@@ -75,7 +78,7 @@ def test_gamma_orders():
 def test_u2_frobenius_matrix():
     # e1 -> -e2, e2 -> -e1 (inversion composed with coordinate reversal)
     datum = build_group("U", 2)
-    m = frobenius_on_lattice(datum)
+    m = datum.frobenius_dual
     assert mat_vec(m, (1, 0)) == (0, -1)
     assert mat_vec(m, (0, 1)) == (-1, 0)
 
@@ -83,7 +86,7 @@ def test_u2_frobenius_matrix():
 def test_frobenius_squares_to_identity_for_u():
     for n in (2, 3, 4, 5):
         datum = build_group("U", n)
-        m = frobenius_on_lattice(datum)
+        m = datum.frobenius_dual
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
             assert mat_vec(m, mat_vec(m, e)) == e
@@ -93,6 +96,15 @@ def test_frobenius_normalizes_weyl_all_presets():
     for family, n in [("GL", 3), ("SL", 3), ("U", 2), ("U", 3), ("U", 4),
                       ("GSp", 4), ("GSp", 6)]:
         assert frobenius_normalizes_weyl(build_group(family, n))
+
+
+def test_frobenius_normalizes_weyl_inner_swap_and_shear():
+    gl3 = build_group("GL", 3)
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert frobenius_normalizes_weyl(dataclasses.replace(gl3, frobenius_dual=swap))
+    gl2 = build_group("GL", 2)
+    shear = ((1, 1), (0, 1))
+    assert not frobenius_normalizes_weyl(dataclasses.replace(gl2, frobenius_dual=shear))
 
 
 def test_dominant_representative_gl3():
