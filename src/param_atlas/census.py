@@ -430,12 +430,22 @@ class CensusEntry:
         }
 
 
+def _letters(idx: int) -> str:
+    """Bijective base 26: 0 -> A, 25 -> Z, 26 -> AA, 51 -> AZ, 52 -> BA, 702 -> AAA."""
+    out = ""
+    idx += 1
+    while idx:
+        idx, digit = divmod(idx - 1, 26)
+        out = chr(ord("A") + digit) + out
+    return out
+
+
 def census(datum: GroupDatum, ctx: ArithmeticContext) -> list[CensusEntry]:
-    """One entry per (unipotent class, twisted class in pi_0), labeled C<r><letter>.
+    """One entry per (unipotent class, twisted class in pi_0), labeled C<r><letters>.
 
     r = rank(u - 1); the letter suffix appears only when several entries share
     an r, in enumeration order (classes by partition, identity twisted class
-    first within each class).
+    first within each class).  It runs A..Z, then AA..AZ, BA..ZZ, AAA...
     """
     classes = unipotent_classes(datum)
     staged: list[tuple[UnipotentClass, ComponentGroup, str]] = []
@@ -454,6 +464,6 @@ def census(datum: GroupDatum, ctx: ArithmeticContext) -> list[CensusEntry]:
         r = cls.rank_drop
         idx = seen_rank.get(r, 0)
         seen_rank[r] = idx + 1
-        label = f"C{r}" if per_rank[r] == 1 else f"C{r}{chr(ord('A') + idx)}"
+        label = f"C{r}" if per_rank[r] == 1 else f"C{r}{_letters(idx)}"
         entries.append(CensusEntry(cls, label, rep, pi0, ctx))
     return entries

@@ -17,7 +17,7 @@ import re
 import sys
 from typing import Optional
 
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, current_budget
 from .census import census, cyclic_group
 from .coverage import coverage_report, standard_levis
 from .gf import FiniteField, get_field
@@ -81,6 +81,11 @@ def _field(args) -> FiniteField:
     if getattr(args, "q", None) is not None and math.gcd(args.q, ell) != 1:
         raise ConfigError(f"q = {args.q} must be coprime to ell = {ell}")
     return get_field(ell, k)
+
+
+def _check_trials(args) -> None:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
 
 
 def _digest(inputs: dict) -> str:
@@ -296,6 +301,7 @@ def cmd_oracle_jacobian(args):
     if datum.family not in ("SL", "GL") or datum.n != 2:
         raise ConfigError("oracle jacobian supports sl2 and gl2")
     field = _field(args)
+    _check_trials(args)
     rng = random.Random(args.seed)
     probed = 0
     bad = None
@@ -338,6 +344,7 @@ def cmd_oracle_jacobian(args):
 def cmd_oracle_identities(args):
     datum = parse_preset(args.group)
     field = _field(args)
+    _check_trials(args)
     report = eval_identity_trials(datum, args.q, field, args.trials, args.seed)
     inputs = {
         "group": datum.name.lower(),
@@ -448,6 +455,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "budget"):
+            # validate --budget (or PARAM_ATLAS_BUDGET) even where the
+            # handler never reaches an enumeration that reads it
+            current_budget(args.budget)
         payload, text = args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -142,6 +142,32 @@ def standard_levis(datum: GroupDatum) -> list[StandardLevi]:
     return out
 
 
+def gamma_stable_levis(datum: GroupDatum) -> list[StandardLevi]:
+    """The gamma-stable standard Levis, ordered by (len(subset), subset).
+
+    A subset is stable exactly when it is a union of orbits of the simple-root
+    permutation, so only those unions are built (2^orbits, not 2^simple).
+    """
+    perm = simple_root_permutation(datum)
+    orbits: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for start in range(len(perm)):
+        orbit = []
+        i = start
+        while i not in seen:
+            seen.add(i)
+            orbit.append(i)
+            i = perm[i]
+        if orbit:
+            orbits.append(tuple(orbit))
+    subsets = [
+        tuple(sorted(i for k, orbit in enumerate(orbits) if mask >> k & 1 for i in orbit))
+        for mask in range(1 << len(orbits))
+    ]
+    subsets.sort(key=lambda s: (len(s), s))
+    return [_levi_from_subset(datum, s, True) for s in subsets]
+
+
 def is_regular_in(cls: UnipotentClass, levi: StandardLevi) -> bool:
     """Whether the class is the regular unipotent class of the Levi."""
     if cls.family != levi.family or cls.ambient != levi.n:
@@ -178,13 +204,15 @@ class CoverageVerdict:
 
 def coverage_report(datum: GroupDatum, ctx: ArithmeticContext) -> list[CoverageVerdict]:
     """One verdict per census entry, in census order."""
-    levis = [x for x in standard_levis(datum) if x.gamma_stable]
-    levis.sort(key=lambda x: (len(x.subset), x.subset))
+    # the stable Levis in which each Jordan type is regular, in witness order
+    regular_in: dict[tuple[int, ...], list[StandardLevi]] = {}
+    for levi in gamma_stable_levis(datum):
+        regular_in.setdefault(levi.jordan_contribution(), []).append(levi)
     verdicts = []
     for entry in census(datum, ctx):
         cls = entry.unipotent
         identity_rep = entry.twisted_rep == entry.pi0.realize(ctx.ell).identity
-        regular_wits = [x for x in levis if is_regular_in(cls, x)]
+        regular_wits = regular_in.get(cls.partition, [])
         witness = next(
             (x for x in regular_wits if _reaches_twisted_class(datum, x, identity_rep)), None
         )

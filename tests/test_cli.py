@@ -1,7 +1,9 @@
 """CLI surface: text output, JSON payloads against the schema, exit codes."""
 
+import itertools
 import json
 import pathlib
+import string
 
 import pytest
 
@@ -123,6 +125,36 @@ def test_oracle_json_schema_all_operations(capsys):
         assert payload["counterexample"] is None
 
 
+def suffixes():
+    """A..Z, AA..ZZ, AAA..: the label suffixes in order, spelled out directly."""
+    for size in itertools.count(1):
+        for letters in itertools.product(string.ascii_uppercase, repeat=size):
+            yield "".join(letters)
+
+
+@pytest.mark.parametrize("argv, partition_count", [
+    (("--group", "gl20"), 627),
+    (("--group", "u20"), 627),
+    (("--group", "sl20", "--ell", "5"), None),
+    (("--group", "gl30"), 5604),
+])
+def test_census_json_past_z_labels(capsys, argv, partition_count):
+    entries = run_json(capsys, "census", *argv)["entries"]
+    if partition_count is not None:
+        assert len(entries) == partition_count
+    labels = [e["label"] for e in entries]
+    assert len(set(labels)) == len(labels)
+    by_rank = {}
+    for e in entries:
+        by_rank.setdefault(e["rank_drop"], []).append(e["label"])
+    for r, group in by_rank.items():
+        if len(group) == 1:
+            assert group == [f"C{r}"]
+        else:
+            assert group == [f"C{r}{x}" for x in itertools.islice(suffixes(), len(group))]
+    assert any(len(g) > 26 for g in by_rank.values())
+
+
 def test_json_output_deterministic(capsys):
     argv = ("census", "--group", "gsp4", "--q", "3", "--ell", "5", "--output", "json")
     code1 = main(list(argv))
@@ -191,6 +223,33 @@ def test_exit_code_negative_budget_flag(capsys):
     code, _, err = run(capsys, "oracle", "twisted", "--order", "4", "--budget", "-1")
     assert code == 2
     assert "--budget" in err and "-1" in err
+
+
+# twisted is covered by test_exit_code_negative_budget_flag
+ORACLE_ARGV = {
+    "commutant": ("--group", "sl2", "--q", "3", "--ell", "7"),
+    "classify": ("--group", "gsp4", "--q", "3", "--ell", "7"),
+    "avoidant": ("--group", "gl2", "--q", "3", "--ell", "7"),
+    "jacobian": ("--group", "sl2", "--q", "3", "--ell", "7"),
+    "identities": ("--group", "gl2", "--q", "3", "--ell", "7"),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_ARGV))
+def test_exit_code_negative_budget_every_oracle(capsys, oracle):
+    code, out, err = run(capsys, "oracle", oracle, *ORACLE_ARGV[oracle], "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err and "-1" in err
+
+
+@pytest.mark.parametrize("oracle", ["jacobian", "identities"])
+@pytest.mark.parametrize("trials", ["0", "-4"])
+def test_exit_code_trials_below_one(capsys, oracle, trials):
+    code, out, err = run(capsys, "oracle", oracle, *ORACLE_ARGV[oracle], "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err and trials in err
 
 
 @pytest.mark.parametrize("value", ["-3", "abc"])

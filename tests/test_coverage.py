@@ -4,7 +4,9 @@ import pytest
 
 from param_atlas.census import UnipotentClass, census
 from param_atlas.coverage import (
+    _reaches_twisted_class,
     coverage_report,
+    gamma_stable_levis,
     is_regular_in,
     simple_root_permutation,
     standard_levis,
@@ -153,3 +155,75 @@ def test_verdict_to_dict_merges_census_fields():
     d = v.to_dict()
     for key in ("partition", "label", "pi0", "covered", "witness", "reason"):
         assert key in d
+
+
+# -- the Jordan-type index against a full scan ---------------------------------
+
+
+def reference_verdicts(datum, ctx):
+    """Scan every stable Levi with is_regular_in for each entry: the reference."""
+    levis = [x for x in standard_levis(datum) if x.gamma_stable]
+    levis.sort(key=lambda x: (len(x.subset), x.subset))
+    out = []
+    for entry in census(datum, ctx):
+        cls = entry.unipotent
+        identity_rep = entry.twisted_rep == entry.pi0.realize(ctx.ell).identity
+        regular = [x for x in levis if is_regular_in(cls, x)]
+        witness = next(
+            (x for x in regular if _reaches_twisted_class(datum, x, identity_rep)), None)
+        if witness is not None:
+            reason = "regular-in-Levi"
+        elif regular:
+            reason = "twisted-class-not-reached"
+        elif cls.distinguished and not cls.regular:
+            reason = "distinguished-non-regular"
+        else:
+            reason = "no-stable-levi-witness"
+        out.append((entry.label, witness is not None, witness, reason))
+    return out
+
+
+ELLS = (None, 2, 3, 5, 7)
+INDEX_CASES = (
+    [("GL", n, ell) for n in range(1, 11) for ell in ELLS]
+    + [("SL", n, ell) for n in range(2, 10) for ell in ELLS]
+    + [("U", n, ell) for n in range(2, 13) for ell in ELLS]
+    + [("GSp", n, ell) for n in (4, 6) for ell in (None, 3, 5, 7)]
+)
+
+
+def test_coverage_report_matches_reference_scan():
+    for family, n, ell in INDEX_CASES:
+        datum = build_group(family, n)
+        ctx = ArithmeticContext(q=11, ell=ell)
+        got = [(v.entry.label, v.covered, v.witness, v.reason)
+               for v in coverage_report(datum, ctx)]
+        assert got == reference_verdicts(datum, ctx), (family, n, ell)
+
+
+def test_gamma_stable_levis_is_the_stable_part_of_standard_levis():
+    presets = ([("GL", n) for n in range(1, 11)] + [("SL", n) for n in range(2, 12)]
+               + [("U", n) for n in range(2, 11)] + [("GSp", 4), ("GSp", 6)])
+    for family, n in presets:
+        datum = build_group(family, n)
+        expected = [x for x in standard_levis(datum) if x.gamma_stable]
+        expected.sort(key=lambda x: (len(x.subset), x.subset))
+        assert gamma_stable_levis(datum) == expected, (family, n)
+
+
+def test_gamma_stable_levi_count_u_halves_the_exponent():
+    for n in range(2, 17):
+        assert len(gamma_stable_levis(build_group("U", n))) == 2 ** (n // 2)
+
+
+def test_coverage_gl16_u16_keep_the_gl_and_parity_rules():
+    ctx = ArithmeticContext(q=3, ell=5)
+    gl = coverage_report(build_group("GL", 16), ctx)
+    assert len(gl) == 231  # p(16)
+    for v in gl:
+        assert v.covered
+        assert v.witness.jordan_contribution() == v.entry.unipotent.partition
+    for v in coverage_report(build_group("U", 16), ctx):
+        part = v.entry.unipotent.partition
+        odd_mult = sum(1 for d in set(part) if part.count(d) % 2 == 1)
+        assert v.covered == (odd_mult <= 1), part
