@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .root_datum import ArithmeticContext, GroupDatum
 
@@ -101,32 +101,32 @@ def unipotent_classes(datum: GroupDatum) -> list[UnipotentClass]:
 
 
 class ExplicitGroup:
-    """Finite group given by a full multiplication table over string labels.
+    """Finite group on the elements 0..order-1, with element 0 the identity.
 
-    Inverses and the abelian flag are precomputed: twisted-class counting is
-    run over every automorphism of every small group in the test suite, so the
+    table[a][b] is the index of a*b, and labels[a] is the string that names a.
+    Labels appear only at the edges: at construction, in the label -> label
+    twists that callers pass, and in the representatives that reach the
+    output; `mul`, `inv` and `element_order` take and return labels.  Inverses
+    and the abelian flag are precomputed: twisted-class counting is run over
+    every automorphism of every small group in the test suite, so the
     per-call cost matters.
     """
 
-    __slots__ = ("name", "labels", "table", "identity", "_inverse", "_abelian", "_sorted")
+    __slots__ = ("name", "labels", "table", "inverse", "abelian", "_index")
 
-    def __init__(self, name: str, labels: tuple[str, ...], table: Mapping[tuple[str, str], str],
-                 identity: str):
+    def __init__(self, name: str, labels: tuple[str, ...], table: Sequence[Sequence[int]]):
         self.name = name
         self.labels = labels
-        self.table = dict(table)
-        self.identity = identity
-        self._sorted = sorted(labels)
-        self._inverse = {}
-        for a in labels:
-            for b in labels:
-                if self.table[(a, b)] == identity:
-                    self._inverse[a] = b
-                    break
-            else:
+        self.table = tuple(tuple(row) for row in table)
+        self._index = {a: i for i, a in enumerate(labels)}
+        inverse = []
+        for a, row in zip(labels, self.table):
+            if 0 not in row:
                 raise ValueError(f"no inverse for {a}")
-        self._abelian = all(
-            self.table[(a, b)] == self.table[(b, a)] for a in labels for b in labels
+            inverse.append(row.index(0))
+        self.inverse = tuple(inverse)
+        self.abelian = all(
+            self.table[a][b] == self.table[b][a] for a in range(self.order) for b in range(a)
         )
 
     def __repr__(self) -> str:
@@ -136,33 +136,47 @@ class ExplicitGroup:
     def order(self) -> int:
         return len(self.labels)
 
+    @property
+    def identity(self) -> str:
+        return self.labels[0]
+
     def mul(self, a: str, b: str) -> str:
-        return self.table[(a, b)]
+        return self.labels[self.table[self._index[a]][self._index[b]]]
 
     def inv(self, a: str) -> str:
-        return self._inverse[a]
+        return self.labels[self.inverse[self._index[a]]]
 
-    def is_abelian(self) -> bool:
-        return self._abelian
+    def twist_indices(self, twist: Mapping[str, str]) -> Optional[tuple[int, ...]]:
+        """The twist as a tuple of image indices; None unless it is a bijection of the labels."""
+        if len(twist) != self.order:
+            return None
+        try:
+            images = tuple(self._index[twist[a]] for a in self.labels)
+        except KeyError:
+            return None
+        return images if len(set(images)) == self.order else None
 
-    def is_automorphism(self, twist: Mapping[str, str]) -> bool:
-        if sorted(twist) != self._sorted or sorted(twist.values()) != self._sorted:
-            return False
+    def _respects(self, images: tuple[int, ...]) -> bool:
+        """Whether images[a*b] == images[a]*images[b] for all a, b."""
         table = self.table
         return all(
-            twist[table[(a, b)]] == table[(twist[a], twist[b])]
-            for a in self.labels
-            for b in self.labels
+            images[ab] == table[ia][ib]
+            for row, ia in zip(table, images)
+            for ab, ib in zip(row, images)
         )
+
+    def is_automorphism(self, twist: Mapping[str, str]) -> bool:
+        images = self.twist_indices(twist)
+        return images is not None and self._respects(images)
 
     def identity_twist(self) -> dict[str, str]:
         return {a: a for a in self.labels}
 
     def element_order(self, a: str) -> int:
+        i = x = self._index[a]
         n = 1
-        x = a
-        while x != self.identity:
-            x = self.mul(x, a)
+        while x:
+            x = self.table[x][i]
             n += 1
         return n
 
@@ -176,21 +190,21 @@ def cyclic_group(d: int) -> ExplicitGroup:
     """Z/d in additive notation, labels "0".."d-1"."""
     if d < 1:
         raise ValueError("cyclic group order must be >= 1")
-    labels = tuple(str(i) for i in range(d))
-    table = {(str(a), str(b)): str((a + b) % d) for a in range(d) for b in range(d)}
+    elems = tuple(range(d))
     name = "1" if d == 1 else f"Z/{d}"
-    return ExplicitGroup(name, labels, table, "0")
+    return ExplicitGroup(name, tuple(str(i) for i in elems),
+                         [elems[a:] + elems[:a] for a in elems])
 
 
 def direct_product(g: ExplicitGroup, h: ExplicitGroup) -> ExplicitGroup:
+    """g x h with labels "a,b"; (a, b) has index a * |h| + b."""
     labels = tuple(f"{a},{b}" for a in g.labels for b in h.labels)
-    table = {}
-    for a1 in g.labels:
-        for b1 in h.labels:
-            for a2 in g.labels:
-                for b2 in h.labels:
-                    table[(f"{a1},{b1}", f"{a2},{b2}")] = f"{g.mul(a1, a2)},{h.mul(b1, b2)}"
-    return ExplicitGroup(f"{g.name}x{h.name}", labels, table, f"{g.identity},{h.identity}")
+    table = [
+        [ga * h.order + hb for ga in g_row for hb in h_row]
+        for g_row in g.table
+        for h_row in h.table
+    ]
+    return ExplicitGroup(f"{g.name}x{h.name}", labels, table)
 
 
 def _perm_label(p: tuple[int, ...]) -> str:
@@ -217,13 +231,8 @@ def symmetric_group_3() -> ExplicitGroup:
     perms = [
         (0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1),
     ]
-    labels = {p: _perm_label(p) for p in perms}
-    table = {}
-    for p in perms:
-        for r in perms:
-            comp = tuple(p[r[i]] for i in range(3))
-            table[(labels[p], labels[r])] = labels[comp]
-    return ExplicitGroup("S_3", tuple(labels[p] for p in perms), table, "e")
+    table = [[perms.index(tuple(p[r[i]] for i in range(3))) for r in perms] for p in perms]
+    return ExplicitGroup("S_3", tuple(_perm_label(p) for p in perms), table)
 
 
 @lru_cache(maxsize=None)
@@ -247,9 +256,9 @@ def quaternion_group() -> ExplicitGroup:
         return ("-" if neg else "+", a)
 
     elems = [(s, a) for a in ("1", "i", "j", "k") for s in ("+", "-")]
-    lbl = {e: (e[1] if e[0] == "+" else "-" + e[1]) for e in elems}
-    table = {(lbl[x], lbl[y]): lbl[mul(x, y)] for x in elems for y in elems}
-    return ExplicitGroup("Q_8", tuple(lbl[e] for e in elems), table, "1")
+    labels = tuple(e[1] if e[0] == "+" else "-" + e[1] for e in elems)
+    table = [[elems.index(mul(x, y)) for y in elems] for x in elems]
+    return ExplicitGroup("Q_8", labels, table)
 
 
 # -- twisted conjugacy --------------------------------------------------------
@@ -262,53 +271,47 @@ class TwistedClasses:
     method: str  # "cokernel" or "orbit"
 
 
-def _orbit_partition(group: ExplicitGroup, twist: Mapping[str, str]) -> list[set[str]]:
-    unseen = set(group.labels)
-    orbits = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            a = frontier.pop()
-            for g in group.labels:
-                b = group.mul(group.mul(g, a), group.inv(twist[g]))
-                if b not in orbit:
-                    orbit.add(b)
-                    frontier.append(b)
-        orbits.append(orbit)
-        unseen -= orbit
-    return orbits
-
-
-def _sort_representatives(group: ExplicitGroup, orbits: Iterable[set[str]]) -> tuple[str, ...]:
-    reps = []
-    for orbit in orbits:
-        rep = group.identity if group.identity in orbit else min(orbit)
-        reps.append(rep)
-    reps.sort(key=lambda r: (r != group.identity, r))
-    return tuple(reps)
-
-
 def twisted_class_count(group: ExplicitGroup, twist: Optional[Mapping[str, str]] = None) -> TwistedClasses:
-    """Orbits of a -> g a twist(g)^-1; cokernel shortcut in the abelian case."""
-    if twist is None:
-        twist = group.identity_twist()
-    if not group.is_automorphism(twist):
+    """Orbits of a -> g a twist(g)^-1; cokernel shortcut in the abelian case.
+
+    The twist maps labels to labels and defaults to the identity.  An orbit is
+    represented by the identity if it holds it, else by its smallest label as
+    a string; the identity's representative comes first, the rest follow in
+    string order.
+    """
+    n = group.order
+    images = tuple(range(n)) if twist is None else group.twist_indices(twist)
+    if images is None or not group._respects(images):
         raise ValueError("twist is not an automorphism of the group")
-    if group.is_abelian():
-        image = {group.mul(g, group.inv(twist[g])) for g in group.labels}
-        orbits = []
-        assigned: set[str] = set()
-        for a in group.labels:
-            if a in assigned:
-                continue
-            coset = {group.mul(a, h) for h in image}
-            orbits.append(coset)
-            assigned |= coset
-        return TwistedClasses(len(orbits), _sort_representatives(group, orbits), "cokernel")
-    orbits = _orbit_partition(group, twist)
-    return TwistedClasses(len(orbits), _sort_representatives(group, orbits), "orbit")
+    table = group.table
+    twist_inv = [group.inverse[t] for t in images]  # g -> twist(g)^-1
+    image = {table[g][t] for g, t in enumerate(twist_inv)}
+    orbits: list[set[int]] = []
+    assigned: set[int] = set()
+    for start in range(n):
+        if start in assigned:
+            continue
+        if group.abelian:
+            # the orbits are the cosets of the image of g -> g twist(g)^-1
+            orbit = {table[start][h] for h in image}
+        else:
+            orbit = {start}
+            frontier = [start]
+            while frontier:
+                a = frontier.pop()
+                for g, t in enumerate(twist_inv):
+                    b = table[table[g][a]][t]
+                    if b not in orbit:
+                        orbit.add(b)
+                        frontier.append(b)
+        orbits.append(orbit)
+        assigned |= orbit
+    labels = group.labels
+    reps = sorted(
+        (labels[0] if 0 in orbit else min(labels[i] for i in orbit) for orbit in orbits),
+        key=lambda r: (r != labels[0], r),
+    )
+    return TwistedClasses(len(orbits), tuple(reps), "cokernel" if group.abelian else "orbit")
 
 
 def conjugacy_class_count(group: ExplicitGroup) -> int:

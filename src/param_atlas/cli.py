@@ -19,7 +19,7 @@ from typing import Optional
 
 from .budget import BudgetExceededError, current_budget
 from .census import census, cyclic_group
-from .coverage import coverage_report, standard_levis
+from .coverage import _levi_from_subset, coverage_report
 from .gf import FiniteField, get_field
 from .invariant_rings import bg_presentation
 from .oracle import (
@@ -276,7 +276,7 @@ def cmd_oracle_avoidant(args):
     datum = parse_preset(args.group)
     field = _field(args)
     rng = random.Random(args.seed)
-    torus = next(x for x in standard_levis(datum) if not x.subset)
+    torus = _levi_from_subset(datum, (), True)  # the empty subset is always stable
     m = random_torus_element(field, datum, rng)
     report = avoidant_check(field, datum, torus, m, args.q)
     inputs = {

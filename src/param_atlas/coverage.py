@@ -80,54 +80,29 @@ class StandardLevi:
         }
 
 
-def _runs(subset: set[int], lo: int, hi: int) -> list[tuple[int, int]]:
-    """Maximal runs [i, j] of consecutive members of subset within [lo, hi)."""
-    runs = []
-    i = lo
-    while i < hi:
-        if i in subset:
-            j = i
-            while j + 1 < hi and j + 1 in subset:
-                j += 1
-            runs.append((i, j))
-            i = j + 2
-        else:
-            i += 1
-    return runs
+def _gl_blocks(subset: set[int], npos: int) -> tuple[int, ...]:
+    """GL block sizes on npos positions; simple root i < npos - 1 in subset joins i and i + 1."""
+    blocks = []
+    pos = 0
+    while pos < npos:
+        end = pos
+        while end in subset and end < npos - 1:
+            end += 1
+        blocks.append(end - pos + 1)
+        pos = end + 1
+    return tuple(blocks)
 
 
 def _levi_from_subset(datum: GroupDatum, subset: tuple[int, ...], stable: bool) -> StandardLevi:
     s = set(subset)
     if datum.family in ("GL", "SL", "U"):
-        npos = datum.n
-        blocks = []
-        pos = 0
-        for (i, j) in _runs(s, 0, npos - 1):
-            blocks += [1] * (i - pos)
-            blocks.append(j - i + 2)
-            pos = j + 2
-        blocks += [1] * (npos - pos)
-        return StandardLevi(datum.family, datum.n, subset, stable, tuple(blocks), 0)
+        return StandardLevi(datum.family, datum.n, subset, stable, _gl_blocks(s, datum.n), 0)
+    # GSp: the run of simple roots ending at the long root m - 1 spans the core
     m = datum.n // 2
-    long_index = m - 1
-    core = 0
-    if long_index in s:
-        i = long_index
-        while i - 1 in s:
-            i -= 1
-        core = 2 * (m - i)
-        s = s - set(range(i, m))
-        npos = i
-    else:
-        npos = m
-    blocks = []
-    pos = 0
-    for (i, j) in _runs(s, 0, npos - 1):
-        blocks += [1] * (i - pos)
-        blocks.append(j - i + 2)
-        pos = j + 2
-    blocks += [1] * (npos - pos)
-    return StandardLevi(datum.family, datum.n, subset, stable, tuple(blocks), core)
+    npos = m
+    while npos - 1 in s:
+        npos -= 1
+    return StandardLevi(datum.family, datum.n, subset, stable, _gl_blocks(s, npos), 2 * (m - npos))
 
 
 def standard_levis(datum: GroupDatum) -> list[StandardLevi]:

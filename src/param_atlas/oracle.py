@@ -223,10 +223,13 @@ def classify_twist(field: FiniteField, kind: str, sigma: Matrix, q: int,
 def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str, str]] = None,
                               budget: Optional[int] = None) -> int:
     """Number of orbits of a -> g a twist(g)^-1, by direct closure."""
-    if twist is None:
-        twist = group.identity_twist()
     check_budget(group.order * group.order, "twisted orbit enumeration", budget)
-    remaining = set(group.labels)
+    images = tuple(range(group.order)) if twist is None else group.twist_indices(twist)
+    if images is None:
+        raise ValueError("twist is not a bijection of the group's labels")
+    table = group.table
+    twist_inv = [group.inverse[t] for t in images]
+    remaining = set(range(group.order))
     count = 0
     while remaining:
         start = next(iter(remaining))
@@ -234,8 +237,8 @@ def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str,
         stack = [start]
         while stack:
             a = stack.pop()
-            for g in group.labels:
-                b = group.mul(group.mul(g, a), group.inv(twist[g]))
+            for g, t in enumerate(twist_inv):
+                b = table[table[g][a]][t]
                 if b not in orbit:
                     orbit.add(b)
                     stack.append(b)
@@ -249,24 +252,22 @@ def inner_twist(group: ExplicitGroup, g: str) -> dict[str, str]:
     return {a: group.mul(group.mul(g, a), ginv) for a in group.labels}
 
 
-def _generating_set(group: ExplicitGroup) -> list[str]:
-    gens: list[str] = []
-    closure = {group.identity}
-    for a in sorted(group.labels):
+def _generating_set(group: ExplicitGroup) -> list[int]:
+    table = group.table
+    gens: list[int] = []
+    closure = {0}
+    for a in sorted(range(group.order), key=group.labels.__getitem__):
         if a in closure:
             continue
         gens.append(a)
-        frontier = list(closure)
-        closure = set(closure)
         queue = [a]
         while queue:
             x = queue.pop()
             if x in closure:
                 continue
             closure.add(x)
-            frontier.append(x)
             for y in list(closure):
-                for z in (group.mul(x, y), group.mul(y, x)):
+                for z in (table[x][y], table[y][x]):
                     if z not in closure:
                         queue.append(z)
         if len(closure) == group.order:
@@ -276,40 +277,38 @@ def _generating_set(group: ExplicitGroup) -> list[str]:
 
 def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
     """Every automorphism, by extending order-compatible generator images."""
+    table = group.table
     gens = _generating_set(group)
     # BFS spanning tree: each element reached as (parent) * gen
-    parent: dict[str, tuple[str, int]] = {}
-    order_list = [group.identity]
-    queue = [group.identity]
+    parent: dict[int, tuple[int, int]] = {}
+    order_list = [0]
+    queue = [0]
     while queue:
         x = queue.pop(0)
         for i, g in enumerate(gens):
-            y = group.mul(x, g)
-            if y not in parent and y != group.identity:
+            y = table[x][g]
+            if y not in parent and y != 0:
                 parent[y] = (x, i)
                 order_list.append(y)
                 queue.append(y)
-    orders = {a: group.element_order(a) for a in group.labels}
+    orders = [group.element_order(a) for a in group.labels]
     candidates = [
-        [h for h in group.labels if orders[h] == orders[g]]
+        [h for h in range(group.order) if orders[h] == orders[g]]
         for g in gens
     ]
+    labels = group.labels
     out = []
     for images in product(*candidates):
-        phi = {group.identity: group.identity}
+        phi = [0] * group.order
         for y in order_list[1:]:
             x, i = parent[y]
-            phi[y] = group.mul(phi[x], images[i])
-        ok = True
-        for i, g in enumerate(gens):
-            for a in group.labels:
-                if phi[group.mul(a, g)] != group.mul(phi[a], images[i]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and len(set(phi.values())) == group.order:
-            out.append(phi)
+            phi[y] = table[phi[x]][images[i]]
+        if len(set(phi)) == group.order and all(
+            phi[table[a][g]] == table[phi[a]][h]
+            for g, h in zip(gens, images)
+            for a in range(group.order)
+        ):
+            out.append({labels[y]: labels[phi[y]] for y in order_list})
     return out
 
 

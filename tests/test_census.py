@@ -76,7 +76,7 @@ def test_classes_sorted_by_rank_drop():
 def test_cyclic_group_axioms():
     g = cyclic_group(6)
     assert g.order == 6
-    assert g.is_abelian()
+    assert g.abelian
     assert g.element_order("1") == 6
     assert g.element_order("3") == 2
     assert g.inv("2") == "4"
@@ -85,16 +85,24 @@ def test_cyclic_group_axioms():
 def test_direct_product_and_orders():
     g = direct_product(cyclic_group(2), cyclic_group(4))
     assert g.order == 8
-    assert g.is_abelian()
+    assert g.abelian
     orders = sorted(g.element_order(a) for a in g.labels)
     assert orders == [1, 2, 2, 2, 4, 4, 4, 4]
+    for left, right in ((cyclic_group(2), cyclic_group(4)), (symmetric_group_3(), cyclic_group(2))):
+        prod = direct_product(left, right)
+        for a1 in left.labels:
+            for b1 in right.labels:
+                for a2 in left.labels:
+                    for b2 in right.labels:
+                        assert prod.mul(f"{a1},{b1}", f"{a2},{b2}") == (
+                            f"{left.mul(a1, a2)},{right.mul(b1, b2)}")
 
 
 def test_nonabelian_groups():
     s3 = symmetric_group_3()
-    assert s3.order == 6 and not s3.is_abelian()
+    assert s3.order == 6 and not s3.abelian
     q8 = quaternion_group()
-    assert q8.order == 8 and not q8.is_abelian()
+    assert q8.order == 8 and not q8.abelian
     assert sorted(q8.element_order(a) for a in q8.labels) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
@@ -104,6 +112,14 @@ def test_is_automorphism():
     assert g.is_automorphism(inv)
     swap_bad = {"0": "0", "1": "2", "2": "1", "3": "3"}
     assert not g.is_automorphism(swap_bad)
+    not_bijective = {a: "0" for a in g.labels}
+    missing_key = {"0": "0", "1": "3", "2": "2"}
+    extra_key = {**inv, "4": "4"}
+    not_a_label = {**inv, "3": "x"}
+    for bad in (not_bijective, missing_key, extra_key, not_a_label):
+        assert not g.is_automorphism(bad)
+        with pytest.raises(ValueError):
+            twisted_class_count(g, bad)
 
 
 # -- twisted classes -----------------------------------------------------------

@@ -40,6 +40,15 @@ def test_census_text_table(capsys):
     assert "Z/2" in out
 
 
+def test_census_text_sl12_twisted_classes_in_label_string_order(capsys):
+    # mu_12 has ten or more elements, so string order differs from numeric order
+    code, out, _ = run(capsys, "census", "--group", "sl12")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line.startswith("C11")]
+    assert [r[0] for r in rows] == [f"C11{c}" for c in "ABCDEFGHIJKL"]
+    assert [r[4] for r in rows] == ["0", "1", "10", "11"] + [str(i) for i in range(2, 10)]
+
+
 def test_bg_ring_text_contains_dickson_relation(capsys):
     code, out, _ = run(capsys, "bg-ring", "--group", "sl2", "--q", "3")
     assert code == 0

@@ -196,6 +196,14 @@ def test_all_automorphisms_known_orders():
     assert len(all_automorphisms(quaternion_group())) == 24
 
 
+def test_nonabelian_product_twisted_classes_and_automorphisms():
+    g = direct_product(symmetric_group_3(), cyclic_group(2))
+    fast = twisted_class_count(g)
+    assert fast.representatives == ("e,0", "(12),0", "(12),1", "(123),0", "(123),1", "e,1")
+    assert fast.count == 6 == twisted_orbits_bruteforce(g)
+    assert len(all_automorphisms(g)) == 12
+
+
 def test_all_automorphisms_are_automorphisms():
     g = quaternion_group()
     for twist in all_automorphisms(g):
