@@ -449,6 +449,10 @@ def census(datum: GroupDatum, ctx: ArithmeticContext) -> list[CensusEntry]:
     r = rank(u - 1); the letter suffix appears only when several entries share
     an r, in enumeration order (classes by partition, identity twisted class
     first within each class).  It runs A..Z, then AA..AZ, BA..ZZ, AAA...
+
+    Only ctx.ell is read (by component_group, pi_0.realize and pi0_points);
+    ctx.q reaches the payload only.  The twisted classes are those of the identity
+    twist on pi_0, so the entries are the same for every q.
     """
     classes = unipotent_classes(datum)
     staged: list[tuple[UnipotentClass, ComponentGroup, str]] = []

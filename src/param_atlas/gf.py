@@ -2,9 +2,11 @@
 
 Elements are encoded as ints in [0, p^k): the base-p digits of the encoding are
 the coefficients of the residue polynomial (little-endian).  Fields up to 2^16
-elements are supported; fields of order <= 256 get full multiplication and
-inverse tables.  Everything downstream (commutant solving, Jacobian probes,
-point counts) works over these encodings, so results are exact by construction.
+elements are supported.  Every field, prime or not, does its arithmetic by
+lookups in exp/log/Zech-logarithm tables of size O(p^k), built once from a
+primitive element (Lidl & Niederreiter, *Finite Fields*, ch. 9).  Everything
+downstream (commutant solving, Jacobian probes, point counts) works over these
+encodings, so results are exact by construction.
 Elimination (`rref`, `nullspace`, `mat_rank`, `mat_det`, `mat_inverse`) is the
 field-generic kernel of `_linalg`, re-exported here.
 """
@@ -16,7 +18,6 @@ from functools import lru_cache
 from ._linalg import mat_det, mat_inverse, mat_rank, nullspace, rref
 from .root_datum import _is_prime
 
-_TABLE_LIMIT = 256
 _ORDER_LIMIT = 1 << 16
 
 
@@ -75,7 +76,13 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 
 class FiniteField:
-    """F_{p^k} with int-encoded elements; use get_field() for the cached copy."""
+    """F_{p^k} with int-encoded elements; use get_field() for the cached copy.
+
+    Arithmetic runs on three tables built once from a primitive element g:
+    `exp[i] = g^i` (stored twice over, so a sum of two logs needs no
+    reduction), `log[a]` with `log[0] = -1`, and the Zech logarithms
+    `zech[i] = log(1 + g^i)`, which are -1 where 1 + g^i = 0.
+    """
 
     def __init__(self, p: int, k: int = 1):
         if not _is_prime(p):
@@ -89,14 +96,19 @@ class FiniteField:
         self.k = k
         self.order = order
         self.modulus = _find_irreducible(p, k)
-        self._digits = [self._decode(e) for e in range(order)] if order <= 4096 else None
-        self._mul_table = None
-        self._inv_table = None
-        if order <= _TABLE_LIMIT:
-            self._mul_table = [self._mul_raw(a, b) for a in range(order) for b in range(order)]
-            self._inv_table = [0] * order
-            for a in range(1, order):
-                self._inv_table[a] = self._pow_raw(a, order - 2)
+        n = order - 1
+        g = self._primitive_digits()
+        self.exp = exp = [0] * (2 * n)
+        self.log = log = [-1] * order
+        power = [1]
+        for i in range(n):
+            a = self._encode(power)
+            exp[i] = exp[i + n] = a
+            log[a] = i
+            power = self._mul_digits(power, g)
+        # adding 1 changes only the constant digit of the encoding
+        self.zech = [log[a + 1 if a % p != p - 1 else a + 1 - p] for a in exp[:n]]
+        self._log_minus_one = log[p - 1]
 
     def _decode(self, e: int) -> list[int]:
         out = []
@@ -111,73 +123,61 @@ class FiniteField:
             e = e * self.p + d
         return e
 
-    def digits(self, a: int) -> list[int]:
-        if self._digits is not None:
-            return self._digits[a][:]
-        return self._decode(a)
+    def _mul_digits(self, a: list[int], b: list[int]) -> list[int]:
+        return _poly_rem(_poly_mul_mod_p(a, b, self.p), self.modulus, self.p)
+
+    def _primitive_digits(self) -> list[int]:
+        """Digits of the least encoding g with g^((order-1)/r) != 1 for every prime r."""
+        n = self.order - 1
+        cofactors = [n // r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        for c in range(1, self.order):
+            g = self._decode(c)
+            if all(self._pow_digits(g, e) != [1] for e in cofactors):
+                return g
+        raise RuntimeError("no primitive element found")  # pragma: no cover
+
+    def _pow_digits(self, a: list[int], e: int) -> list[int]:
+        result = [1]
+        while e:
+            if e & 1:
+                result = self._mul_digits(result, a)
+            a = self._mul_digits(a, a)
+            e >>= 1
+        return result
 
     def from_int(self, c: int) -> int:
         return c % self.p
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        # a + b = a (1 + b/a); a negative index wraps, as logs live mod order - 1
+        z = self.zech[self.log[b] - la]
+        return self.exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._encode([(-x) % self.p for x in self.digits(a)])
+        return self.exp[self.log[a] + self._log_minus_one] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul_mod_p(self.digits(a), self.digits(b), self.p)
-        rem = _poly_rem(prod, self.modulus, self.p)
-        rem += [0] * (self.k - len(rem))
-        return self._encode(rem)
-
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.order + b]
-        return self._mul_raw(a, b)
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return result
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero in finite field")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._pow_raw(a, self.order - 2)
+        return self.exp[self.order - 1 - self.log[a]]
 
     def pow(self, a: int, e: int) -> int:
+        if a:
+            return self.exp[self.log[a] * e % (self.order - 1)]
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self._mul_table is not None:
-            result = 1
-            base = a
-            while e:
-                if e & 1:
-                    result = self.mul(result, base)
-                base = self.mul(base, base)
-                e >>= 1
-            return result
-        return self._pow_raw(a, e)
+            raise ZeroDivisionError("inverse of zero in finite field")
+        return 0 if e else 1
 
     def elements(self) -> range:
         return range(self.order)

@@ -39,14 +39,20 @@ def int_matrix(field: FiniteField, rows) -> Matrix:
     return tuple(tuple(field.from_int(x) for x in row) for row in rows)
 
 
-def symplectic_form(field: FiniteField, size: int) -> Matrix:
-    """Antidiagonal form: +1 in the top half, -1 in the bottom half."""
+@lru_cache(maxsize=None)
+def _antidiagonal_form(size: int) -> Matrix:
+    """Integer antidiagonal form: +1 in the top half, -1 in the bottom half."""
     if size % 2:
         raise ValueError("symplectic form needs even size")
-    j = [[0] * size for _ in range(size)]
-    for i in range(size):
-        j[i][size - 1 - i] = field.from_int(1 if i < size // 2 else -1)
-    return tuple(tuple(row) for row in j)
+    return tuple(
+        tuple((1 if i < size // 2 else -1) if j == size - 1 - i else 0 for j in range(size))
+        for i in range(size)
+    )
+
+
+def symplectic_form(field: FiniteField, size: int) -> Matrix:
+    """The antidiagonal form over the field."""
+    return int_matrix(field, _antidiagonal_form(size))
 
 
 def similitude(field: FiniteField, mat: Matrix) -> Optional[int]:
@@ -344,54 +350,34 @@ def lie_root_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], .
     entries sharing the root's torus weight.
     """
     n = datum.n
+    weights = [_entry_weight(datum, a) for a in range(n)]
+    j = _antidiagonal_form(n) if datum.family == "GSp" else None
     out = []
-    if datum.family in ("GL", "SL", "U"):
-        for alpha in datum.roots:
-            spots = [
-                (a, b)
-                for a in range(n)
-                for b in range(n)
-                if a != b and _vec_sub(_entry_weight(datum, a), _entry_weight(datum, b)) == alpha
-            ]
-            if len(spots) != 1:
-                raise RuntimeError("root weight is not a single gl entry")  # pragma: no cover
-            a, b = spots[0]
-            out.append(tuple(tuple(1 if (x, y) == (a, b) else 0 for y in range(n)) for x in range(n)))
-        return tuple(out)
-    jmat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        jmat[i][n - 1 - i] = 1 if i < n // 2 else -1
     for alpha in datum.roots:
         spots = [
             (a, b)
             for a in range(n)
             for b in range(n)
-            if a != b and _vec_sub(_entry_weight(datum, a), _entry_weight(datum, b)) == alpha
+            if a != b and _vec_sub(weights[a], weights[b]) == alpha
         ]
-        # constraint (sum_k c_k E_k)^T J + J (sum_k c_k E_k) = 0, solved exactly
-        constraint_cols = []
-        for (a, b) in spots:
-            flat = []
-            for x in range(n):
-                for y in range(n):
-                    val = 0
-                    if x == b:
-                        val += jmat[a][y]
-                    if y == b:
-                        val += jmat[x][a]
-                    flat.append(val)
-            constraint_cols.append(flat)
-        rows = [[col[i] for col in constraint_cols] for i in range(n * n)]
-        kernel = nullspace(QQ, rows)
-        if len(kernel) != 1:
-            raise RuntimeError("symplectic root space is not one-dimensional")  # pragma: no cover
-        coeffs = kernel[0]
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in coeffs]
+        if j is None:
+            if len(spots) != 1:
+                raise RuntimeError("root weight is not a single gl entry")  # pragma: no cover
+            coeffs = [1]
+        else:
+            # (sum_k c_k E_k)^T J + J (sum_k c_k E_k) = 0, one row per entry (x, y)
+            rows = [
+                [(j[a][y] if x == b else 0) + (j[x][a] if y == b else 0) for (a, b) in spots]
+                for x in range(n)
+                for y in range(n)
+            ]
+            kernel = nullspace(QQ, rows)
+            if len(kernel) != 1:
+                raise RuntimeError("symplectic root space is not one-dimensional")  # pragma: no cover
+            denom = math.lcm(*(c.denominator for c in kernel[0]))
+            coeffs = [int(c * denom) for c in kernel[0]]
         mat = [[0] * n for _ in range(n)]
-        for c, (a, b) in zip(ints, spots):
+        for c, (a, b) in zip(coeffs, spots):
             mat[a][b] = c
         out.append(tuple(tuple(row) for row in mat))
     return tuple(out)
@@ -447,16 +433,22 @@ def _flat(mat) -> list[int]:
 
 
 def _ad_matrix(field: FiniteField, m: Matrix, m_inv: Matrix, basis: list[Matrix]):
-    """Matrix of X -> m X m^-1 on the span of basis; None if the span leaks."""
-    columns = [_flat(int_matrix(field, b)) for b in basis]
-    out_cols = []
-    for b in basis:
-        y = gf.mat_mul(field, gf.mat_mul(field, m, int_matrix(field, b)), m_inv)
-        coeffs = solve(field, columns, _flat(y))
-        if coeffs is None:
-            return None
-        out_cols.append(coeffs)
-    return [[out_cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+    """Matrix of X -> m X m^-1 on the span of basis; None if the span leaks.
+
+    One reduction of [basis | images]: a pivot past the basis columns means
+    some image lies outside the span.
+    """
+    k = len(basis)
+    mats = [int_matrix(field, b) for b in basis]
+    images = [gf.mat_mul(field, gf.mat_mul(field, m, b), m_inv) for b in mats]
+    rows = [list(r) for r in zip(*map(_flat, mats + images))]
+    red, pivots = gf.rref(field, rows)
+    if pivots and pivots[-1] >= k:
+        return None
+    out = [[0] * k for _ in range(k)]
+    for r, pc in enumerate(pivots):
+        out[pc] = red[r][k:]
+    return out
 
 
 def _horner(field: FiniteField, coeffs: list[int], mat) -> list[list[int]]:

@@ -274,6 +274,18 @@ def test_census_to_dict_keys():
                       "pi0", "pi0_points", "twisted_class", "curated_note"}
 
 
+@pytest.mark.parametrize("ell", [None, 3, 5, 7])
+def test_census_entries_do_not_depend_on_q(ell):
+    presets = [("SL", n) for n in range(2, 7)] + [("GSp", 4), ("GSp", 6)] + [
+        ("U", n) for n in range(3, 6)]
+    qs = [q for q in (2, 3, 4, 5, 7, 8, 9) if ell is None or q % ell]
+    for family, n in presets:
+        datum = build_group(family, n)
+        first, *rest = (
+            [e.to_dict() for e in census(datum, ArithmeticContext(q=q, ell=ell))] for q in qs)
+        assert all(entries == first for entries in rest), (family, n, ell)
+
+
 @given(st.integers(1, 12), st.integers(0, 11))
 @settings(max_examples=40, deadline=None)
 def test_twisted_count_matches_cokernel_size_for_cyclic_power_maps(d, k):

@@ -1,5 +1,6 @@
 """CLI surface: text output, JSON payloads against the schema, exit codes."""
 
+import hashlib
 import itertools
 import json
 import pathlib
@@ -172,6 +173,26 @@ def test_json_output_deterministic(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert first == second
+
+
+# sha256 of the JSON stdout; they pin the int encodings of extension-field elements
+EXTENSION_FIELD_DIGESTS = {
+    "oracle commutant --group sl2 --q 3 --ell 2 --field-degree 8 --seed 1":
+        "b75d40ec589dafc0b6b146d88dacb1c1ffaa1234d26c9faaad5399041a593b7b",
+    "oracle identities --group gl3 --q 4 --ell 17 --field-degree 2 --trials 50 --seed 1":
+        "465ff1ceffa329614d472513c2baa30cd3c0cefc894a2d5ff393d8303c7b1e73",
+    "oracle classify --group gsp4 --q 3 --ell 5 --field-degree 2 --seed 1":
+        "6aa62377516fce571e9d56ccbde134a099ddbb71b7839a4c8212dddbe00a53d7",
+    "oracle jacobian --group gl2 --q 4 --ell 3 --field-degree 3 --trials 3 --seed 2":
+        "27498754a8e5d9e46f112aaa1b198b3c97ed7fc87151150c9486aeda0351f41f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXTENSION_FIELD_DIGESTS))
+def test_extension_field_json_bytes_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--output", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == EXTENSION_FIELD_DIGESTS[command]
 
 
 def test_oracle_digest_tracks_inputs(capsys):

@@ -1,5 +1,7 @@
 """Finite fields and exact linear algebra over them."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,107 @@ def test_field_axioms_exhaustive_small(p, k):
             assert f.mul(a, b) == f.mul(b, a)
             for c in els[:6]:
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+class SchoolbookField:
+    """Reference arithmetic on digit polynomials: add digit-wise mod p, multiply
+    the polynomials and reduce by the field's monic modulus."""
+
+    def __init__(self, field):
+        self.p, self.k, self.modulus = field.p, field.k, field.modulus
+
+    def digits(self, a):
+        return [a // self.p ** i % self.p for i in range(self.k)]
+
+    def encode(self, digits):
+        return sum(d * self.p ** i for i, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self.encode([(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.encode([-x % self.p for x in self.digits(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        k = self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            c, prod[i] = prod[i], 0
+            for j in range(k):
+                prod[i - k + j] -= c * self.modulus[j]
+        return self.encode([c % self.p for c in prod[:k]])
+
+    def pow(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+
+def _agree_with_schoolbook(f, pairs):
+    ref = SchoolbookField(f)
+    for a, b in pairs:
+        assert f.add(a, b) == ref.add(a, b), (a, b)
+        assert f.sub(a, b) == ref.sub(a, b), (a, b)
+        assert f.mul(a, b) == ref.mul(a, b), (a, b)
+        assert f.neg(a) == ref.neg(a), a
+        e = b - f.order // 2
+        if a:
+            assert ref.mul(a, f.inv(a)) == 1, a
+            if e >= 0:
+                assert f.pow(a, e) == ref.pow(a, e), (a, e)
+            else:
+                assert ref.mul(f.pow(a, e), ref.pow(a, -e)) == 1, (a, e)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                f.inv(a)
+            if e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    f.pow(a, e)
+            else:
+                assert f.pow(a, e) == (1 if e == 0 else 0)
+
+
+def _tables_are_consistent(f):
+    n = f.order - 1
+    assert sorted(f.exp[:n]) == list(f.units())
+    assert f.exp[n:] == f.exp[:n]
+    for a in f.elements():
+        assert f.pow(a, f.order) == a
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (2, 4), (3, 2), (5, 2), (11, 2), (3, 3)])
+def test_arithmetic_matches_schoolbook_on_all_pairs(p, k):
+    f = get_field(p, k)
+    _agree_with_schoolbook(f, [(a, b) for a in f.elements() for b in f.elements()])
+    _tables_are_consistent(f)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (17, 2), (3, 5), (251, 1), (2, 12)])
+def test_arithmetic_matches_schoolbook_on_samples(p, k):
+    f = get_field(p, k)
+    rng = random.Random(p ** k)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(400)]
+    _agree_with_schoolbook(f, pairs + [(0, b) for b, _ in pairs[:20]] + [(a, 0) for a, _ in pairs[:20]])
+    _tables_are_consistent(f)
+
+
+def test_largest_supported_field_builds():
+    f = FiniteField(2, 16)
+    g = f.exp[1]
+    assert f.mul(g, f.inv(g)) == 1
+    assert f.pow(g, f.order - 1) == 1 and f.pow(g, (f.order - 1) // 3) != 1
+    with pytest.raises(ValueError):
+        FiniteField(2, 17)
 
 
 def test_frobenius_fixes_prime_subfield():

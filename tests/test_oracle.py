@@ -1,5 +1,6 @@
 """Finite-field oracles: brute-force solvers the symbolic layer is checked against."""
 
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from param_atlas.oracle import (
     is_commutant_solution,
     is_member,
     jacobian_probe,
+    lie_root_matrices,
     random_group_element,
     random_regular_element,
     random_torus_element,
@@ -279,6 +281,33 @@ def test_avoidant_error_paths():
         avoidant_check(F7, gl2, torus, ((0, 0), (0, 0)), 3)
     with pytest.raises(ValueError):
         avoidant_check(F7, build_group("GSp", 4), torus, diag(F7, 6, 2, 3, 1), 3)
+
+
+def test_avoidant_rejects_m_outside_the_levi_normalizer():
+    # conjugating E11 by a shear leaves the diagonal torus
+    gl2 = build_group("GL", 2)
+    torus = next(x for x in standard_levis(gl2) if x.subset == ())
+    with pytest.raises(ValueError, match="^m does not normalize the Levi$"):
+        avoidant_check(F7, gl2, torus, int_matrix(F7, [[1, 1], [0, 1]]), 3)
+
+
+@pytest.mark.parametrize("family,n", [("GL", 3), ("SL", 4), ("U", 3), ("GSp", 4), ("GSp", 6)])
+def test_lie_root_matrices_are_distinct_primitive_and_symplectic(family, n):
+    datum = build_group(family, n)
+    J = symplectic_form(F7, n) if family == "GSp" else None
+    mats = lie_root_matrices(datum)
+    assert len(set(mats)) == len(mats) == len(datum.roots)
+    for x in mats:
+        support = [(a, b) for a in range(n) for b in range(n) if x[a][b]]
+        assert support
+        assert all(a != b for a, b in support)
+        assert math.gcd(*(x[a][b] for a, b in support)) == 1
+        if J is not None:
+            # X^T J + J X = 0 over F_7, so X lies in the symplectic Lie algebra
+            xf = int_matrix(F7, x)
+            left = gf.mat_mul(F7, tuple(zip(*xf)), J)
+            right = gf.mat_mul(F7, J, xf)
+            assert all(F7.add(u, v) == 0 for lr, rr in zip(left, right) for u, v in zip(lr, rr))
 
 
 # -- jacobian probe -------------------------------------------------------------
