@@ -158,7 +158,7 @@ def cmd_census(args):
 def cmd_coverage(args):
     datum = parse_preset(args.group)
     ctx = _context(args)
-    verdicts = coverage_report(datum, ctx)
+    verdicts = coverage_report(datum, ctx, args.budget)
     entries = [v.to_dict() for v in verdicts]
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -335,7 +335,9 @@ def cmd_oracle_jacobian(args):
         "submersive": sum(1 for r in reports if r.submersive),
         "full_expected_rank": sum(1 for r in reports if r.rank == r.expected_rank),
     }
-    payload = _oracle_payload("jacobian", inputs, "pass" if ok else "fail", result, bad)
+    # no trial gave a commutant solution: nothing was probed
+    verdict = "inconclusive" if probed == 0 else "pass" if ok else "fail"
+    payload = _oracle_payload("jacobian", inputs, verdict, result, bad)
     text = (f"samples: {probed}  submersive: {result['submersive']}"
             f"  rank-as-expected: {result['full_expected_rank']}")
     return payload, text
@@ -399,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="Levi coverage report")
     _add_common(p, q_default=3)
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap on stable Levis built (default: PARAM_ATLAS_BUDGET or 10^7)")
     p.set_defaults(handler=cmd_coverage)
 
     po = sub.add_parser("oracle", help="brute-force finite validators")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from .budget import check_budget
 from .census import CensusEntry, UnipotentClass, census
 from .root_datum import ArithmeticContext, GroupDatum
 
@@ -117,12 +118,8 @@ def standard_levis(datum: GroupDatum) -> list[StandardLevi]:
     return out
 
 
-def gamma_stable_levis(datum: GroupDatum) -> list[StandardLevi]:
-    """The gamma-stable standard Levis, ordered by (len(subset), subset).
-
-    A subset is stable exactly when it is a union of orbits of the simple-root
-    permutation, so only those unions are built (2^orbits, not 2^simple).
-    """
+def simple_root_orbits(datum: GroupDatum) -> list[tuple[int, ...]]:
+    """Orbits of the simple-root permutation, each in visiting order from its least index."""
     perm = simple_root_permutation(datum)
     orbits: list[tuple[int, ...]] = []
     seen: set[int] = set()
@@ -135,6 +132,16 @@ def gamma_stable_levis(datum: GroupDatum) -> list[StandardLevi]:
             i = perm[i]
         if orbit:
             orbits.append(tuple(orbit))
+    return orbits
+
+
+def gamma_stable_levis(datum: GroupDatum) -> list[StandardLevi]:
+    """The gamma-stable standard Levis, ordered by (len(subset), subset).
+
+    A subset is stable exactly when it is a union of orbits of the simple-root
+    permutation, so only those unions are built (2^orbits, not 2^simple).
+    """
+    orbits = simple_root_orbits(datum)
     subsets = [
         tuple(sorted(i for k, orbit in enumerate(orbits) if mask >> k & 1 for i in orbit))
         for mask in range(1 << len(orbits))
@@ -177,8 +184,14 @@ class CoverageVerdict:
         return d
 
 
-def coverage_report(datum: GroupDatum, ctx: ArithmeticContext) -> list[CoverageVerdict]:
-    """One verdict per census entry, in census order."""
+def coverage_report(datum: GroupDatum, ctx: ArithmeticContext,
+                    budget: int | None = None) -> list[CoverageVerdict]:
+    """One verdict per census entry, in census order.
+
+    Raises BudgetExceededError before any Levi is built when the 2^orbits
+    stable Levis exceed the budget.
+    """
+    check_budget(2 ** len(simple_root_orbits(datum)), "standard Levis", budget)
     # the stable Levis in which each Jordan type is regular, in witness order
     regular_in: dict[tuple[int, ...], list[StandardLevi]] = {}
     for levi in gamma_stable_levis(datum):

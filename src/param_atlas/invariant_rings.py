@@ -1,12 +1,23 @@
 """Weyl-invariant rings of the preset tori and their q-power fixed rings.
 
-The invariant ring of the character lattice has a Z-basis of orbit sums
-indexed by dominant weights.  The preset generator sets are orbit sums of the
-staircase weights e_1+...+e_k (one per simple root, in order) together with an
-invertible monomial generator where the preset has one (det for GL_n/U_n, the
-similitude nu for GSp).  Rewriting an invariant polynomial in the generators
-is elimination along the dominance order: repeatedly subtract the generator
-monomial whose expansion matches the dominance-maximal term.
+The invariant ring of the character lattice has a Z-basis of orbit sums m_lam
+indexed by dominant weights lam (Bourbaki, Lie VI 3.4).  The preset generator
+sets are orbit sums of the staircase weights e_1+...+e_k (one per simple root,
+in order) together with an invertible monomial generator where the preset has
+one (det for GL_n/U_n, the similitude nu for GSp).
+
+Rewriting an invariant polynomial in the generators is elimination along the
+dominance order, done entirely in the orbit-sum basis {dominant lam: coeff}:
+the coefficient of m_lam in f is the coefficient of x^lam, so only the
+dominant terms of f are kept.  Each step takes the highest remaining lam and
+subtracts its coefficient times the generator monomial with leading weight
+lam.  In the orbit basis an invertible generator (a W-fixed weight) shifts
+every weight, and the staircase part prod m_(omega_i)^(k_i) is memoized per
+exponent tuple and built one factor at a time (`_StaircaseProducts`).
+The elimination loop expands no Laurent polynomial and does integer
+arithmetic only (the height that orders the weights is an integer); the
+exponents of the invertible generators are solved from each distinct W-fixed
+shift once the loop is done.
 
 The fixed ring of Fr^{-1}[q] acting on the invariant ring is presented by one
 relation per generator: rewrite(adams(Fr-pullback(g), q)) - g for each
@@ -19,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+import heapq
 import itertools
+from operator import add
 
 from ._linalg import QQ, Vec, dot, mat_rank, solve
 from .budget import check_budget
@@ -30,7 +43,6 @@ from .root_datum import (
     height,
     is_dominant,
     orbit_of_weight,
-    prime_power_base,
     reflection_matrix,
 )
 
@@ -43,6 +55,13 @@ class NotInvariantError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """Generators of the invariant ring, with their dominant leading weights.
+
+    polys[i] is the orbit sum m_(leading[i]) for a staircase index and the
+    W-fixed monomial x^(leading[i]) for an invertible one; rewriting reads
+    only the leading weights.
+    """
+
     datum: GroupDatum
     names: tuple[str, ...]
     polys: tuple[LaurentPolynomial, ...]
@@ -122,30 +141,46 @@ def frobenius_pullback(datum: GroupDatum, f: LaurentPolynomial) -> LaurentPolyno
     return f.apply_matrix(datum.frobenius_dual)
 
 
-def _decompose_dominant(gens: GeneratorSet, lam: Vec) -> dict[int, int]:
-    """Write a dominant weight as sum of staircase weights and invertible weights."""
-    datum = gens.datum
-    exps: dict[int, int] = {}
-    residual = list(lam)
-    for pos, gi in enumerate(gens.staircase):
-        cv = datum.simple_coroots[pos]
+def _staircase_split(gens: GeneratorSet, lam: Vec) -> tuple[Vec, Vec]:
+    """(k, shift) with lam = sum of k_i times the staircase weights + shift.
+
+    k_i = <lam, alpha_i^vee>, so the shift pairs to zero with every simple
+    coroot: it is W-fixed.
+    """
+    stair = []
+    shift = list(lam)
+    for cv, gi in zip(gens.datum.simple_coroots, gens.staircase):
         k = dot(lam, cv)
-        if k < 0:
-            raise NotInvariantError(f"weight {lam} is not dominant")
-        if k:
-            exps[gi] = k
-            for idx, entry in enumerate(gens.leading[gi]):
-                residual[idx] -= k * entry
+        stair.append(k)
+        for idx, entry in enumerate(gens.leading[gi]):
+            shift[idx] -= k * entry
+    return tuple(stair), tuple(shift)
+
+
+def _generator_monomials(gens: GeneratorSet, found: dict[tuple[Vec, Vec], int]
+                         ) -> dict[Vec, int]:
+    """Turn {(staircase exponents, W-fixed shift): coeff} into generator monomials.
+
+    The shift must be an integer combination of the invertible generators'
+    weights; it is solved once per distinct shift.
+    """
     inv_indices = [i for i, inv in enumerate(gens.invertible) if inv]
-    if inv_indices:
-        cols = [gens.leading[i] for i in inv_indices]
-        coeffs = _solve_integer(cols, tuple(residual))
-        for i, c in zip(inv_indices, coeffs):
-            if c:
+    cols = [gens.leading[i] for i in inv_indices]
+    solved: dict[Vec, list[int]] = {}
+    out = {}
+    for (stair, shift), coeff in found.items():
+        exps = [0] * len(gens)
+        for gi, k in zip(gens.staircase, stair):
+            exps[gi] = k
+        if inv_indices:
+            if shift not in solved:
+                solved[shift] = _solve_integer(cols, shift)
+            for i, c in zip(inv_indices, solved[shift]):
                 exps[i] = c
-    elif any(residual):
-        raise NotInvariantError(f"weight {lam} is outside the generator cone")
-    return exps
+        elif any(shift):
+            raise NotInvariantError(f"weight {shift} is outside the generator cone")
+        out[tuple(exps)] = coeff
+    return out
 
 
 def _solve_integer(cols: list[Vec], target: Vec) -> list[int]:
@@ -158,34 +193,115 @@ def _solve_integer(cols: list[Vec], target: Vec) -> list[int]:
     return [int(c) for c in coeffs]
 
 
+class _StaircaseProducts:
+    """Products of staircase orbit sums in the orbit-sum basis {dominant weight: coeff}.
+
+    m_lam * m_mu = sum over beta in W.mu of (|W.lam| / |W.(lam+beta)|) m_dom(lam+beta);
+    one term alone need not be integral, so hits are summed per dominant
+    weight before the division.  Orbit sizes and dominant representatives are
+    cached per weight; orbits are kept only for the staircase weights.
+    """
+
+    def __init__(self, datum: GroupDatum, weights: tuple[Vec, ...]):
+        self.datum = datum
+        self.orbits = [orbit_of_weight(datum, w) for w in weights]
+        self.coroots = datum.simple_coroots
+        self.sizes: dict[Vec, int] = {}
+        self.stabilizer_sizes: dict[tuple[bool, ...], int] = {}
+        self.dominant: dict[Vec, Vec] = {}
+        self.products: dict[Vec, dict[Vec, int]] = {
+            (0,) * len(weights): {(0,) * datum.torus_rank: 1}}
+
+    def orbit_size(self, lam: Vec) -> int:
+        """|W.lam| for a dominant weight."""
+        size = self.sizes.get(lam)
+        if size is None:
+            # the stabilizer of a dominant weight is generated by the simple
+            # reflections fixing it, so the size depends only on which those are
+            fixed = tuple(dot(lam, cv) == 0 for cv in self.coroots)
+            size = self.stabilizer_sizes.get(fixed)
+            if size is None:
+                size = self.stabilizer_sizes[fixed] = len(orbit_of_weight(self.datum, lam))
+            self.sizes[lam] = size
+        return size
+
+    def times(self, f: dict[Vec, int], i: int) -> dict[Vec, int]:
+        """f * m_(staircase weight i)."""
+        dominant = self.dominant
+        hits: dict[Vec, int] = {}
+        for lam, c in f.items():
+            c *= self.orbit_size(lam)
+            for beta in self.orbits[i]:
+                mu = tuple(map(add, lam, beta))
+                nu = dominant.get(mu)
+                if nu is None:
+                    nu = dominant[mu] = dominant_representative(self.datum, mu)
+                hits[nu] = hits.get(nu, 0) + c
+        return {nu: h // self.orbit_size(nu) for nu, h in hits.items()}
+
+    def product(self, stair: Vec) -> dict[Vec, int]:
+        """prod_i m_(staircase weight i)^stair[i], memoized per exponent tuple.
+
+        Built one factor at a time, lowering the last non-zero exponent down
+        to a memoized product.
+        """
+        chain = []
+        while stair not in self.products:
+            i = max(j for j, k in enumerate(stair) if k)
+            chain.append((stair, i))
+            stair = stair[:i] + (stair[i] - 1,) + stair[i + 1:]
+        for key, i in reversed(chain):
+            self.products[key] = self.times(self.products[stair], i)
+            stair = key
+        return self.products[stair]
+
+
+@lru_cache(maxsize=None)
+def _staircase_products(datum: GroupDatum, weights: tuple[Vec, ...]) -> _StaircaseProducts:
+    return _StaircaseProducts(datum, weights)
+
+
 def rewrite_in_generators(datum: GroupDatum, gens: GeneratorSet,
                           f: LaurentPolynomial) -> LaurentPolynomial:
     """Express a W-invariant Laurent polynomial in the generator symbols.
 
     Returns P with integer coefficients, Laurent only in invertible-flagged
     symbols, such that substituting the generator polynomials recovers f.
+    The work runs in the orbit-sum basis: f is the sum of f_lam m_lam over its
+    dominant weights lam, and each step subtracts the generator monomial whose
+    leading weight is the highest remaining lam, in the order (height, lam).
+    A step is recorded by its staircase exponents and W-fixed shift; they are
+    named as generator monomials at the end.
     """
     bad = non_invariance_witness(datum, f)
     if bad is not None:
         raise NotInvariantError(
             f"polynomial is not W-invariant: moved by simple reflection s{bad + 1}")
-    nsym = len(gens)
-    result = LaurentPolynomial.zero(nsym)
-    work = f
+    products = _staircase_products(datum, tuple(gens.leading[i] for i in gens.staircase))
+    work = {lam: c for lam, c in f.terms.items() if is_dominant(datum, lam)}
+    # max-heap on (height, lam); entries whose weight has cancelled are skipped
+    heap = [(-height(datum, lam), tuple(-x for x in lam), lam) for lam in work]
+    heapq.heapify(heap)
+    found: dict[tuple[Vec, Vec], int] = {}
     for _ in range(_REWRITE_CAP):
-        if not work:
-            return result
-        lam = max(work.terms, key=lambda e: (height(datum, e), e))
-        if not is_dominant(datum, lam):  # pragma: no cover - defensive
-            raise NotInvariantError(f"leading weight {lam} is not dominant")
-        coeff = work.terms[lam]
-        exps = _decompose_dominant(gens, lam)
-        mono = tuple(exps.get(i, 0) for i in range(nsym))
-        result = result + LaurentPolynomial.monomial(mono, coeff)
-        expansion = LaurentPolynomial.constant(datum.torus_rank, coeff)
-        for i, k in exps.items():
-            expansion = expansion * (gens.polys[i] ** k)
-        work = work - expansion
+        while heap and heap[0][2] not in work:
+            heapq.heappop(heap)
+        if not heap:
+            return LaurentPolynomial(len(gens), _generator_monomials(gens, found))
+        lam = heapq.heappop(heap)[2]
+        coeff = work[lam]
+        stair, shift = _staircase_split(gens, lam)
+        found[stair, shift] = coeff
+        # the W-fixed shift is the invertible factor: m_nu * x^shift = m_(nu + shift)
+        for nu, d in products.product(stair).items():
+            mu = tuple(map(add, nu, shift))
+            left = work.get(mu, 0) - coeff * d
+            if left:
+                if mu not in work:
+                    heapq.heappush(heap, (-height(datum, mu), tuple(-x for x in mu), mu))
+                work[mu] = left
+            else:
+                del work[mu]
     raise RuntimeError("rewrite did not terminate; generator table is broken")
 
 

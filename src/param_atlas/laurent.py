@@ -171,16 +171,33 @@ class LaurentPolynomial:
         return total
 
     def substitute(self, values: list["LaurentPolynomial"]) -> "LaurentPolynomial":
-        """Substitute a polynomial for each variable (negative powers need monomials)."""
+        """Substitute a polynomial for each variable (negative powers need monomials).
+
+        The powers of each value are built once, one multiplication per step
+        up to the largest exponent that occurs.
+        """
         rank = values[0].rank
-        total = LaurentPolynomial.zero(rank)
+        one = LaurentPolynomial.constant(rank, 1)
+        powers = []
+        for j, v in enumerate(values[:self.rank]):
+            used = [e[j] for e in self.terms]
+            table = {0: one}
+            for k in range(1, max(used, default=0) + 1):
+                table[k] = table[k - 1] * v
+            if min(used, default=0) < 0:
+                inv = v.monomial_inverse()
+                for k in range(1, 1 - min(used)):
+                    table[-k] = table[1 - k] * inv
+            powers.append(table)
+        out: dict[Vec, int] = {}
         for e, c in self.terms.items():
-            term = LaurentPolynomial.constant(rank, c)
-            for v, k in zip(values, e):
+            term = one
+            for table, k in zip(powers, e):
                 if k:
-                    term = term * (v ** k)
-            total = total + term
-        return total
+                    term = table[k] if term is one else term * table[k]
+            for m, d in term.terms.items():
+                out[m] = out.get(m, 0) + c * d
+        return LaurentPolynomial(rank, out)
 
     # -- inspection and printing -------------------------------------------
 

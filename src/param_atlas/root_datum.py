@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 import math
 
@@ -245,40 +244,48 @@ def is_dominant(datum: GroupDatum, weight: Vec) -> bool:
 def dominant_representative(datum: GroupDatum, weight: Vec) -> Vec:
     """The unique dominant weight in the W-orbit."""
     v = tuple(weight)
+    pairs = tuple(zip(datum.simple_roots, datum.simple_coroots))
     while True:
-        for i, cv in enumerate(datum.simple_coroots):
-            if dot(v, cv) < 0:
-                v = mat_vec(reflection_matrix(datum, datum.simple[i]), v)
+        for alpha, cv in pairs:
+            c = dot(v, cv)
+            if c < 0:
+                # s_alpha(v) = v - <v, alpha^vee> alpha
+                v = tuple(x - c * a for x, a in zip(v, alpha))
                 break
         else:
             return v
 
 
 @lru_cache(maxsize=None)
-def _rho_covector(datum: GroupDatum) -> tuple[Fraction, ...]:
-    """A rational coweight with <alpha_i, rho> = 1 for every simple root.
+def _rho_covector(datum: GroupDatum) -> tuple[int, ...]:
+    """An integer coweight pairing to the same positive integer with every simple root.
 
-    Solved inside the span of the simple coroots via the Cartan matrix; used as
-    a strictly positive height functional for dominance-descent rewriting.
+    The rational solution of <alpha_i, rho> = 1 inside the span of the simple
+    coroots (via the Cartan matrix), scaled by the LCM of its denominators;
+    used as a strictly positive height functional for dominance-descent
+    rewriting.
     """
     simples = datum.simple_roots
     cosimples = datum.simple_coroots
     k = len(simples)
     if k == 0:
-        return tuple(Fraction(0) for _ in range(datum.torus_rank))
+        return tuple(0 for _ in range(datum.torus_rank))
     # column j of the Cartan matrix <alpha_i, alpha_j^vee>
     cartan_cols = [[dot(simples[i], cosimples[j]) for i in range(k)] for j in range(k)]
     coeffs = solve(QQ, cartan_cols, [1] * k)
-    rho = [Fraction(0)] * datum.torus_rank
-    for c, cv in zip(coeffs, cosimples):
-        for idx, entry in enumerate(cv):
-            rho[idx] += c * entry
-    return tuple(rho)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(
+        sum(int(c * scale) * cv[idx] for c, cv in zip(coeffs, cosimples))
+        for idx in range(datum.torus_rank))
 
 
-def height(datum: GroupDatum, weight: Vec) -> Fraction:
-    rho = _rho_covector(datum)
-    return sum((Fraction(a) * b for a, b in zip(weight, rho)), Fraction(0))
+def height(datum: GroupDatum, weight: Vec) -> int:
+    """<weight, rho> for the integer rho covector.
+
+    Every simple root has the same positive height, so the dominant weight is
+    the unique highest weight of its W-orbit.
+    """
+    return dot(weight, _rho_covector(datum))
 
 
 def frobenius_normalizes_weyl(datum: GroupDatum) -> bool:

@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import string
+import time
 
 import pytest
 
@@ -184,7 +185,7 @@ EXTENSION_FIELD_DIGESTS = {
     "oracle classify --group gsp4 --q 3 --ell 5 --field-degree 2 --seed 1":
         "6aa62377516fce571e9d56ccbde134a099ddbb71b7839a4c8212dddbe00a53d7",
     "oracle jacobian --group gl2 --q 4 --ell 3 --field-degree 3 --trials 3 --seed 2":
-        "27498754a8e5d9e46f112aaa1b198b3c97ed7fc87151150c9486aeda0351f41f",
+        "2340b00a9090c6f990aedfbf8681ca7dcead25cb0e2f1c536d9cadc94d286c1e",
 }
 
 
@@ -193,6 +194,66 @@ def test_extension_field_json_bytes_pinned(capsys, command):
     code, out, err = run(capsys, *command.split(), "--output", "json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == EXTENSION_FIELD_DIGESTS[command]
+
+
+def test_jacobian_with_no_samples_is_inconclusive(capsys):
+    # no trial finds a commutant solution, so nothing is probed
+    payload = run_json(capsys, "oracle", "jacobian", "--group", "gl2", "--q", "4",
+                       "--ell", "3", "--field-degree", "3", "--trials", "3", "--seed", "2")
+    assert payload["result"]["samples"] == 0
+    assert payload["verdict"] == "inconclusive"
+    assert payload["counterexample"] is None
+
+
+# sha256 of the JSON stdout of the heaviest fixed-ring presentations
+BG_RING_DIGESTS = {
+    "bg-ring --group gsp6 --q 7":
+        "9b1c26c7f399994f5e1ef33e4f463799578e0e0c5a589a3ec96c20f49cd1ddc2",
+    "bg-ring --group sl3 --q 25":
+        "80a3458d20c464a54886671cca2b6f1908c67765a219d6739186f7dd91e1aa2f",
+    "bg-ring --group gl4 --q 9":
+        "d4b30841df5ae832a062e5e4133724eebb8b95b6f8b057474181b3136c19c095",
+    "bg-ring --group u5 --q 4":
+        "75852a2a2f6325bb8d8d6a60e2b01d016649c9ecef965a66aa7331fd1b1906af",
+    "bg-ring --group sl5 --q 4":
+        "05c5f3a19e74313a0a9225a921c7d345d000e3d297e8e440fe8a60a2206112d6",
+    "bg-ring --group gsp4 --q 9":
+        "861d612ba93b1ee8b8edb916ffc71020b1ef51f65971eb7686285396096266d2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BG_RING_DIGESTS))
+def test_bg_ring_json_bytes_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--output", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == BG_RING_DIGESTS[command]
+
+
+def test_coverage_gl12_bytes_unchanged_at_default_budget(capsys):
+    code, out, err = run(capsys, "coverage", "--group", "gl12", "--output", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f19be61e1baaf3f52f0cee375f200fed7651f650e332fe6557b22c4fbf603fff")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "gl30"),
+    ("--group", "gl12", "--budget", "100"),
+])
+def test_coverage_over_budget_exits_3_before_enumerating(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coverage", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "standard Levis" in err and "budget" in err
+
+
+def test_coverage_negative_budget_exits_2(capsys):
+    code, out, err = run(capsys, "coverage", "--group", "gl3", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err and "-1" in err
 
 
 def test_oracle_digest_tracks_inputs(capsys):

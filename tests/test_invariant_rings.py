@@ -5,13 +5,19 @@ round-tripping through substitution, which is an independent expansion.
 """
 
 from fractions import Fraction
+import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from param_atlas import gf
 from param_atlas.budget import BudgetExceededError
 from param_atlas.invariant_rings import (
+    GeneratorSet,
     NotInvariantError,
+    _staircase_products,
     adams,
     bg_presentation,
     count_points,
@@ -105,12 +111,45 @@ def test_rewrite_rejects_non_invariant():
         rewrite_in_generators(datum, gens, LaurentPolynomial.variable(2, 0))
 
 
+def test_rewrite_rejects_weights_outside_the_generator_lattice():
+    datum = build_group("GL", 2)
+    e1 = orbit_sum(datum, (1, 0))
+    # det^2 in place of det: x1*x2 would need the exponent 1/2
+    squared = GeneratorSet(datum, ("e1", "d"), (e1, LaurentPolynomial.monomial((2, 2))),
+                           (False, True), ((1, 0), (2, 2)), (0,), None)
+    with pytest.raises(NotInvariantError, match="fractional"):
+        rewrite_in_generators(datum, squared, orbit_sum(datum, (1, 1)))
+    assert rewrite_in_generators(datum, squared, orbit_sum(datum, (2, 2))) == (
+        LaurentPolynomial.variable(2, 1))
+    # no invertible generator at all: x1*x2 is outside the cone of e1
+    bare = GeneratorSet(datum, ("e1",), (e1,), (False,), ((1, 0),), (0,), None)
+    with pytest.raises(NotInvariantError, match="outside the generator cone"):
+        rewrite_in_generators(datum, bare, orbit_sum(datum, (1, 1)))
+
+
+@pytest.mark.parametrize("family,n", [("GL", 3), ("SL", 3), ("U", 4), ("GSp", 4), ("GSp", 6)])
+def test_staircase_products_in_orbit_basis_expand_to_laurent_products(family, n):
+    datum = build_group(family, n)
+    gens = fundamental_invariants(datum)
+    weights = tuple(gens.leading[i] for i in gens.staircase)
+    products = _staircase_products(datum, weights)
+    for stair in itertools.product(range(3), repeat=len(weights)):
+        expected = LaurentPolynomial.constant(datum.torus_rank, 1)
+        for gi, k in zip(gens.staircase, stair):
+            expected = expected * gens.polys[gi] ** k
+        got = LaurentPolynomial.zero(datum.torus_rank)
+        for lam, c in products.product(stair).items():
+            got = got + orbit_sum(datum, lam) * c
+        assert got == expected, stair
+
+
 @pytest.mark.parametrize("family,n", [("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3),
-                                      ("U", 2), ("U", 3), ("GSp", 4)])
+                                      ("U", 2), ("U", 3), ("GSp", 4),
+                                      ("GL", 4), ("SL", 4), ("U", 4)])
 def test_rewrite_roundtrip_on_twisted_generators(family, n):
     datum = build_group(family, n)
     gens = fundamental_invariants(datum)
-    for q in (2, 3, 5):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for g in gens.polys:
             moved = adams(frobenius_pullback(datum, g), q)
             sym = rewrite_in_generators(datum, gens, moved)
@@ -230,3 +269,60 @@ def test_count_points_multiplicity_detects_ramified_q():
     assert rep.multiplicity_gcd_degree and rep.multiplicity_gcd_degree > 0
     rep = count_points(bg_presentation(sl2, 3), 5)
     assert rep.multiplicity_gcd_degree == 0
+
+
+# -- independent point counts ---------------------------------------------------
+#
+# An F-point of the GL_n presentation is a monic degree-n polynomial f with
+# f(0) != 0 (its coefficients are the e_k up to sign), and it satisfies the
+# relations exactly when the roots of f are permuted by a -> a^q, that is
+# charpoly(C_f^q) == f for the companion matrix C_f.  SL_n adds
+# f(0) = (-1)^n; for U_n the Frobenius also inverts, so the test is
+# charpoly((C_f^q)^-1) == f.
+
+
+def _companion_count(family, n, q, field):
+    one_sign = field.from_int((-1) ** n)
+    count = 0
+    for low in itertools.product(range(field.order), repeat=n):
+        if low[0] == 0 or (family == "SL" and low[0] != one_sign):
+            continue
+        f = list(low) + [1]  # little-endian, like gf.charpoly
+        companion = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            companion[i][n - 1] = field.neg(low[i])
+        power = gf.mat_pow(field, companion, q)
+        if family == "U":
+            power = gf.mat_inverse(field, power)
+        if gf.charpoly(field, power) == f:
+            count += 1
+    return count
+
+
+POINT_COUNT_PINS = {("GL", 3, 9, 5, 1): 28, ("U", 4, 3, 5, 1): 60, ("SL", 3, 7, 3, 2): 5}
+
+
+def _point_count_cases(seed, size):
+    rng = random.Random(seed)
+    cases = list(POINT_COUNT_PINS)
+    while len(cases) < size:
+        family = rng.choice(("GL", "SL", "U"))
+        n = rng.choice((1, 2, 3, 4) if family == "GL" else (2, 3, 4))
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
+        ell, k = rng.choice(((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)))
+        if q % ell and (ell ** k) ** n <= 1000 and (family, n, q, ell, k) not in cases:
+            cases.append((family, n, q, ell, k))
+    return cases
+
+
+def test_fixed_ring_point_counts_match_companion_matrices():
+    start = time.perf_counter()
+    for family, n, q, ell, k in _point_count_cases(seed=2302, size=30):
+        field = gf.FiniteField(ell, k)
+        points = count_points(bg_presentation(build_group(family, n), q), ell, k).points
+        expected = _companion_count(family, n, q, field)
+        assert points == expected, (family, n, q, ell, k)
+        pin = POINT_COUNT_PINS.get((family, n, q, ell, k))
+        assert pin is None or points == pin
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"exceeded 3.0s budget: {elapsed:.2f}s"
