@@ -158,7 +158,7 @@ def cmd_census(args):
 def cmd_coverage(args):
     datum = parse_preset(args.group)
     ctx = _context(args)
-    verdicts = coverage_report(datum, ctx, args.budget)
+    verdicts = coverage_report(datum, ctx)
     entries = [v.to_dict() for v in verdicts]
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -267,7 +267,9 @@ def cmd_oracle_classify(args):
         "seed": args.seed,
     }
     result = {"labels": list(report.labels), "counts": report.counts()}
-    payload = _oracle_payload("classify", inputs, "pass", result)
+    # no commutant solution leaves the detector nothing to label
+    payload = _oracle_payload(
+        "classify", inputs, "pass" if report.labels else "inconclusive", result)
     text = "labels: " + (", ".join(report.labels) if report.labels else "(none)")
     return payload, text
 
@@ -401,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="Levi coverage report")
     _add_common(p, q_default=3)
-    p.add_argument("--budget", type=int, default=None,
-                   help="cap on stable Levis built (default: PARAM_ATLAS_BUDGET or 10^7)")
     p.set_defaults(handler=cmd_coverage)
 
     po = sub.add_parser("oracle", help="brute-force finite validators")

@@ -5,15 +5,18 @@ Levi and the entry's twisted class is reached from that Levi.  Reachability is
 a preset rule validated by the finite oracles: the identity twisted class is
 always reached; non-identity classes are reached from the full group, and (via
 block-scalar witnesses) from proper Levis in the SL family only.
+
+Each witness is built straight from the partition (`regular_levi`);
+`standard_levis` enumerates every subset and is the reference scan.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .budget import check_budget
 from .census import CensusEntry, UnipotentClass, census
 from .root_datum import ArithmeticContext, GroupDatum
 
@@ -118,36 +121,41 @@ def standard_levis(datum: GroupDatum) -> list[StandardLevi]:
     return out
 
 
-def simple_root_orbits(datum: GroupDatum) -> list[tuple[int, ...]]:
-    """Orbits of the simple-root permutation, each in visiting order from its least index."""
-    perm = simple_root_permutation(datum)
-    orbits: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for start in range(len(perm)):
-        orbit = []
-        i = start
-        while i not in seen:
-            seen.add(i)
-            orbit.append(i)
-            i = perm[i]
-        if orbit:
-            orbits.append(tuple(orbit))
-    return orbits
+def _block_subset(blocks) -> tuple[int, ...]:
+    """The simple roots joining the positions of each block, blocks laid out from 0."""
+    subset, start = [], 0
+    for b in blocks:
+        subset += range(start, start + b - 1)
+        start += b
+    return tuple(subset)
 
 
-def gamma_stable_levis(datum: GroupDatum) -> list[StandardLevi]:
-    """The gamma-stable standard Levis, ordered by (len(subset), subset).
+def regular_levi(datum: GroupDatum, partition: tuple[int, ...]) -> Optional[StandardLevi]:
+    """The first stable standard Levi in (len(subset), subset) order whose regular
+    unipotent has Jordan type partition, or None.
 
-    A subset is stable exactly when it is a union of orbits of the simple-root
-    permutation, so only those unions are built (2^orbits, not 2^simple).
+    A class is regular in a Levi exactly when the Levi's blocks rearrange its
+    partition (Bala-Carter), so all such subsets have one size, and the least
+    of them lays the blocks out in decreasing order.  GL, SL: the blocks are
+    the partition.  With half each part repeated mult // 2 times: U_n needs a
+    palindrome, half + [odd-multiplicity part] + reversed(half); GSp has GL
+    blocks half (each gives (b, b)) and the odd-multiplicity part as core 2c.
+    For U_n and GSp, two odd-multiplicity parts leave no witness.
     """
-    orbits = simple_root_orbits(datum)
-    subsets = [
-        tuple(sorted(i for k, orbit in enumerate(orbits) if mask >> k & 1 for i in orbit))
-        for mask in range(1 << len(orbits))
-    ]
-    subsets.sort(key=lambda s: (len(s), s))
-    return [_levi_from_subset(datum, s, True) for s in subsets]
+    counts = Counter(partition)
+    half = [d for d in sorted(counts, reverse=True) for _ in range(counts[d] // 2)]
+    odd = [d for d in counts if counts[d] % 2]
+    if datum.family in ("GL", "SL"):
+        subset = _block_subset(sorted(partition, reverse=True))
+    elif len(odd) > 1:
+        return None
+    elif datum.family == "U":
+        subset = _block_subset(half + odd + half[::-1])
+    else:
+        m = datum.n // 2
+        c = odd[0] // 2 if odd else 0
+        subset = _block_subset(half) + tuple(range(m - c, m))
+    return _levi_from_subset(datum, subset, True)
 
 
 def is_regular_in(cls: UnipotentClass, levi: StandardLevi) -> bool:
@@ -184,29 +192,20 @@ class CoverageVerdict:
         return d
 
 
-def coverage_report(datum: GroupDatum, ctx: ArithmeticContext,
-                    budget: int | None = None) -> list[CoverageVerdict]:
+def coverage_report(datum: GroupDatum, ctx: ArithmeticContext) -> list[CoverageVerdict]:
     """One verdict per census entry, in census order.
 
-    Raises BudgetExceededError before any Levi is built when the 2^orbits
-    stable Levis exceed the budget.
+    Reaching a twisted class depends on a Levi only through its subset size,
+    so the first regular Levi stands for all of them.
     """
-    check_budget(2 ** len(simple_root_orbits(datum)), "standard Levis", budget)
-    # the stable Levis in which each Jordan type is regular, in witness order
-    regular_in: dict[tuple[int, ...], list[StandardLevi]] = {}
-    for levi in gamma_stable_levis(datum):
-        regular_in.setdefault(levi.jordan_contribution(), []).append(levi)
     verdicts = []
     for entry in census(datum, ctx):
         cls = entry.unipotent
         identity_rep = entry.twisted_rep == entry.pi0.realize(ctx.ell).identity
-        regular_wits = regular_in.get(cls.partition, [])
-        witness = next(
-            (x for x in regular_wits if _reaches_twisted_class(datum, x, identity_rep)), None
-        )
-        if witness is not None:
-            verdicts.append(CoverageVerdict(entry, True, witness, "regular-in-Levi"))
-        elif regular_wits:
+        levi = regular_levi(datum, cls.partition)
+        if levi is not None and _reaches_twisted_class(datum, levi, identity_rep):
+            verdicts.append(CoverageVerdict(entry, True, levi, "regular-in-Levi"))
+        elif levi is not None:
             verdicts.append(CoverageVerdict(entry, False, None, "twisted-class-not-reached"))
         elif cls.distinguished and not cls.regular:
             verdicts.append(CoverageVerdict(entry, False, None, "distinguished-non-regular"))

@@ -53,9 +53,6 @@ class GroupDatum:
     def simple_coroots(self) -> tuple[Vec, ...]:
         return tuple(self.coroots[i] for i in self.simple)
 
-    def pairing(self, weight: Vec, coweight: Vec) -> int:
-        return dot(weight, coweight)
-
 
 class UnsupportedPresetError(ValueError):
     pass

@@ -5,7 +5,6 @@ import itertools
 import json
 import pathlib
 import string
-import time
 
 import pytest
 
@@ -148,6 +147,8 @@ def suffixes():
     (("--group", "u20"), 627),
     (("--group", "sl20", "--ell", "5"), None),
     (("--group", "gl30"), 5604),
+    (("--group", "u30"), 5604),
+    (("--group", "sl30", "--ell", "5"), None),
 ])
 def test_census_json_past_z_labels(capsys, argv, partition_count):
     entries = run_json(capsys, "census", *argv)["entries"]
@@ -205,6 +206,19 @@ def test_jacobian_with_no_samples_is_inconclusive(capsys):
     assert payload["counterexample"] is None
 
 
+def test_classify_with_no_labels_is_inconclusive(capsys):
+    # 3d^2 = 1 has no root in F_5, so the detector sees no commutant solution
+    code, out, err = run(capsys, "oracle", "classify", "--group", "sl2", "--q", "3",
+                         "--ell", "5")
+    assert code == 0, err
+    assert out == "labels: (none)\n"
+    payload = run_json(capsys, "oracle", "classify", "--group", "sl2", "--q", "3",
+                       "--ell", "5")
+    assert payload["result"]["labels"] == []
+    assert payload["verdict"] == "inconclusive"
+    assert payload["counterexample"] is None
+
+
 # sha256 of the JSON stdout of the heaviest fixed-ring presentations
 BG_RING_DIGESTS = {
     "bg-ring --group gsp6 --q 7":
@@ -238,22 +252,40 @@ def test_coverage_gl12_bytes_unchanged_at_default_budget(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("--group", "gl30"),
-    ("--group", "gl12", "--budget", "100"),
+    ("--group", "sl30", "--ell", "5"),
 ])
-def test_coverage_over_budget_exits_3_before_enumerating(capsys, argv):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "coverage", *argv)
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert "standard Levis" in err and "budget" in err
+def test_coverage_rank_30_covers_every_entry_by_its_partition(capsys, argv):
+    code, out, err = run(capsys, "coverage", *argv, "--output", "json")
+    assert code == 0, err
+    entries = json.loads(out)["entries"]
+    assert len(entries) >= 5604  # p(30)
+    for e in entries:
+        assert e["covered"], e["label"]
+        assert e["witness"]["blocks"] == e["partition"]
 
 
-def test_coverage_negative_budget_exits_2(capsys):
-    code, out, err = run(capsys, "coverage", "--group", "gl3", "--budget", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--budget" in err and "-1" in err
+def test_coverage_u30_keeps_the_parity_rule(capsys):
+    # the one rank-30 payload validated against the schema
+    entries = run_json(capsys, "coverage", "--group", "u30")["entries"]
+    assert len(entries) == 5604
+    for e in entries:
+        part = e["partition"]
+        odd_mult = sum(1 for d in set(part) if part.count(d) % 2 == 1)
+        assert e["covered"] == (odd_mult <= 1), part
+
+
+def test_coverage_has_no_budget_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coverage", "--group", "gl3", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_coverage_ignores_budget_env(capsys, monkeypatch):
+    monkeypatch.setenv("PARAM_ATLAS_BUDGET", "-1")
+    code, out, err = run(capsys, "coverage", "--group", "gl12")
+    assert code == 0, err
+    assert "GL12" in out
 
 
 def test_oracle_digest_tracks_inputs(capsys):

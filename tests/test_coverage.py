@@ -1,13 +1,13 @@
-"""Standard Levis, gamma-stability, Jordan contributions, coverage verdicts."""
+"""Standard Levis, gamma-stability, Jordan contributions, witnesses, coverage verdicts."""
 
 import pytest
 
-from param_atlas.census import UnipotentClass, census
+from param_atlas.census import UnipotentClass, census, partitions
 from param_atlas.coverage import (
     _reaches_twisted_class,
     coverage_report,
-    gamma_stable_levis,
     is_regular_in,
+    regular_levi,
     simple_root_permutation,
     standard_levis,
 )
@@ -157,13 +157,18 @@ def test_verdict_to_dict_merges_census_fields():
         assert key in d
 
 
-# -- the Jordan-type index against a full scan ---------------------------------
+# -- the witness built from the partition against a full scan -----------------
+
+
+def stable_levis_in_order(datum):
+    levis = [x for x in standard_levis(datum) if x.gamma_stable]
+    levis.sort(key=lambda x: (len(x.subset), x.subset))
+    return levis
 
 
 def reference_verdicts(datum, ctx):
     """Scan every stable Levi with is_regular_in for each entry: the reference."""
-    levis = [x for x in standard_levis(datum) if x.gamma_stable]
-    levis.sort(key=lambda x: (len(x.subset), x.subset))
+    levis = stable_levis_in_order(datum)
     out = []
     for entry in census(datum, ctx):
         cls = entry.unipotent
@@ -185,9 +190,9 @@ def reference_verdicts(datum, ctx):
 
 ELLS = (None, 2, 3, 5, 7)
 INDEX_CASES = (
-    [("GL", n, ell) for n in range(1, 11) for ell in ELLS]
-    + [("SL", n, ell) for n in range(2, 10) for ell in ELLS]
-    + [("U", n, ell) for n in range(2, 13) for ell in ELLS]
+    [("GL", n, ell) for n in range(1, 12) for ell in ELLS]
+    + [("SL", n, ell) for n in range(2, 12) for ell in ELLS]
+    + [("U", n, ell) for n in range(2, 15) for ell in ELLS]
     + [("GSp", n, ell) for n in (4, 6) for ell in (None, 3, 5, 7)]
 )
 
@@ -201,19 +206,30 @@ def test_coverage_report_matches_reference_scan():
         assert got == reference_verdicts(datum, ctx), (family, n, ell)
 
 
-def test_gamma_stable_levis_is_the_stable_part_of_standard_levis():
-    presets = ([("GL", n) for n in range(1, 11)] + [("SL", n) for n in range(2, 12)]
-               + [("U", n) for n in range(2, 11)] + [("GSp", 4), ("GSp", 6)])
+def test_regular_levi_is_the_first_regular_stable_levi():
+    presets = ([("GL", n) for n in range(1, 11)] + [("SL", n) for n in range(2, 11)]
+               + [("U", n) for n in range(2, 13)] + [("GSp", 4), ("GSp", 6)])
     for family, n in presets:
         datum = build_group(family, n)
-        expected = [x for x in standard_levis(datum) if x.gamma_stable]
-        expected.sort(key=lambda x: (len(x.subset), x.subset))
-        assert gamma_stable_levis(datum) == expected, (family, n)
+        levis = stable_levis_in_order(datum)
+        for part in partitions(n):
+            expected = next((x for x in levis if x.jordan_contribution() == part), None)
+            assert regular_levi(datum, part) == expected, (family, n, part)
 
 
-def test_gamma_stable_levi_count_u_halves_the_exponent():
-    for n in range(2, 17):
-        assert len(gamma_stable_levis(build_group("U", n))) == 2 ** (n // 2)
+def test_regular_levi_pinned_witnesses():
+    levi = regular_levi(build_group("U", 7), (3, 1, 1, 1, 1))
+    assert levi.gl_blocks == (1, 1, 3, 1, 1)
+    assert levi.subset == (2, 3)
+    levi = regular_levi(build_group("GSp", 6), (2, 2, 2))
+    assert levi.describe() == "GL2xGSp2"
+    assert levi.subset == (0, 2)
+    # only 2 has odd multiplicity, so it sits in the middle of the palindrome
+    assert regular_levi(build_group("U", 4), (2, 1, 1)).gl_blocks == (1, 2, 1)
+    # 3 and 1 both have odd multiplicity: no palindromic block layout
+    assert regular_levi(build_group("U", 4), (3, 1)) is None
+    # the same rule makes gsp6 (4,2) distinguished but not regular in any Levi
+    assert regular_levi(build_group("GSp", 6), (4, 2)) is None
 
 
 def test_coverage_gl16_u16_keep_the_gl_and_parity_rules():
