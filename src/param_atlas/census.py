@@ -169,9 +169,6 @@ class ExplicitGroup:
         images = self.twist_indices(twist)
         return images is not None and self._respects(images)
 
-    def identity_twist(self) -> dict[str, str]:
-        return {a: a for a in self.labels}
-
     def element_order(self, a: str) -> int:
         i = x = self._index[a]
         n = 1

@@ -1,5 +1,10 @@
 """Command-line front end: census, fixed-ring presentations, coverage, oracles.
 
+Every subcommand is one row of the table in `build_parser`: its handler, its
+help and the flags it takes, each defined once in `_FLAGS`.  Every q and ell
+is checked by `ArithmeticContext` (q a prime power, ell a prime other than
+p), and every oracle on a group builds its `inputs` with `_oracle_inputs`.
+
 Output is deterministic for a fixed (config, seed): tables are canonically
 sorted and JSON is dumped with sorted keys, so golden-file comparisons are
 byte-exact.  Exit codes: 0 success, 2 usage or config error, 3 budget
@@ -11,14 +16,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import random
 import re
 import sys
 from typing import Optional
 
 from .budget import BudgetExceededError, current_budget
-from .census import census, cyclic_group
+from .census import census, cyclic_group, twisted_class_count
 from .coverage import _levi_from_subset, coverage_report
 from .gf import FiniteField, get_field
 from .invariant_rings import bg_presentation
@@ -33,18 +37,15 @@ from .oracle import (
     solve_commutant,
     twisted_orbits_bruteforce,
 )
-from .root_datum import (
-    ArithmeticContext,
-    GroupDatum,
-    UnsupportedPresetError,
-    build_group,
-    prime_power_base,
-)
+from .root_datum import ArithmeticContext, GroupDatum, build_group
 
 SCHEMA_VERSION = 1
 
 _PRESET_RE = re.compile(r"^(gsp|gl|sl|u)(\d+)$")
 _FAMILIES = {"gl": "GL", "sl": "SL", "gsp": "GSp", "u": "U"}
+
+# the census class that `oracle classify` labels, by (family, n)
+_DETECTED_CLASS = {("SL", 2): (2,), ("GSp", 4): (2, 2)}
 
 
 class ConfigError(ValueError):
@@ -56,31 +57,15 @@ def parse_preset(text: str) -> GroupDatum:
     if not m:
         raise ConfigError(
             f"unrecognized group preset {text!r} (expected e.g. gl3, sl2, gsp4, u3)")
-    try:
-        return build_group(_FAMILIES[m.group(1)], int(m.group(2)))
-    except UnsupportedPresetError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _context(args) -> ArithmeticContext:
-    try:
-        return ArithmeticContext(q=args.q, ell=args.ell)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return build_group(_FAMILIES[m.group(1)], int(m.group(2)))
 
 
 def _field(args) -> FiniteField:
-    ell = args.ell
-    if ell is None:
-        raise ConfigError("this oracle needs --ell (field characteristic)")
-    if prime_power_base(ell) != ell:
-        raise ConfigError(f"--ell must be prime, got {ell}")
-    k = getattr(args, "field_degree", None) or 1
-    if k < 1:
+    """The oracle field F_{ell^k}, once q and ell have passed `ArithmeticContext`."""
+    ctx = ArithmeticContext(args.q, args.ell)
+    if args.field_degree < 1:
         raise ConfigError("--field-degree must be >= 1")
-    if getattr(args, "q", None) is not None and math.gcd(args.q, ell) != 1:
-        raise ConfigError(f"q = {args.q} must be coprime to ell = {ell}")
-    return get_field(ell, k)
+    return get_field(ctx.ell, args.field_degree)
 
 
 def _check_trials(args) -> None:
@@ -91,6 +76,18 @@ def _check_trials(args) -> None:
 def _digest(inputs: dict) -> str:
     blob = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _oracle_inputs(args, datum: GroupDatum, field: FiniteField, *extra_keys: str) -> dict:
+    """The inputs every oracle on a group records, plus the named flags."""
+    inputs = {
+        "group": datum.name.lower(),
+        "q": args.q,
+        "field": [field.p, field.k],
+        "seed": args.seed,
+    }
+    inputs.update((key, getattr(args, key)) for key in extra_keys)
+    return inputs
 
 
 def _oracle_payload(operation: str, inputs: dict, verdict: str, result: dict,
@@ -125,18 +122,16 @@ def _fmt_partition(partition) -> str:
 # -- census / coverage / bg-ring ----------------------------------------------
 
 
+def _atlas_payload(kind: str, datum: GroupDatum, ctx: ArithmeticContext, entries: list) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "group": datum.name.lower(),
+            "q": ctx.q, "ell": ctx.ell, "entries": entries}
+
+
 def cmd_census(args):
     datum = parse_preset(args.group)
-    ctx = _context(args)
+    ctx = ArithmeticContext(args.q, args.ell)
     entries = [e.to_dict() for e in census(datum, ctx)]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "census",
-        "group": datum.name.lower(),
-        "q": ctx.q,
-        "ell": ctx.ell,
-        "entries": entries,
-    }
+    payload = _atlas_payload("census", datum, ctx, entries)
     rows = []
     for e in entries:
         flags = [f for f in ("regular", "distinguished") if e[f]]
@@ -157,17 +152,10 @@ def cmd_census(args):
 
 def cmd_coverage(args):
     datum = parse_preset(args.group)
-    ctx = _context(args)
+    ctx = ArithmeticContext(args.q, args.ell)
     verdicts = coverage_report(datum, ctx)
     entries = [v.to_dict() for v in verdicts]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "coverage",
-        "group": datum.name.lower(),
-        "q": ctx.q,
-        "ell": ctx.ell,
-        "entries": entries,
-    }
+    payload = _atlas_payload("coverage", datum, ctx, entries)
     rows = []
     for e in entries:
         mark = "✓" if e["covered"] else "✗"
@@ -180,9 +168,7 @@ def cmd_coverage(args):
 
 def cmd_bg_ring(args):
     datum = parse_preset(args.group)
-    if prime_power_base(args.q) is None:
-        raise ConfigError(f"q must be a prime power >= 2, got {args.q}")
-    pres = bg_presentation(datum, args.q)
+    pres = bg_presentation(datum, ArithmeticContext(args.q).q)
     payload = pres.to_dict()
     payload["schema_version"] = SCHEMA_VERSION
     payload["kind"] = "bg_ring"
@@ -196,14 +182,18 @@ def cmd_oracle_twisted(args):
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
     group = cyclic_group(args.order)
-    if args.twist == "inv":
-        twist = {a: group.inv(a) for a in group.labels}
-    else:
-        twist = group.identity_twist()
+    twist = {a: group.inv(a) if args.twist == "inv" else a for a in group.labels}
     count = twisted_orbits_bruteforce(group, twist, args.budget)
+    expected = twisted_class_count(group, twist).count
+    agree = count == expected
     inputs = {"order": args.order, "twist": args.twist}
-    payload = _oracle_payload("twisted", inputs, "pass", {"orbit_count": count})
-    return payload, f"twisted orbit count: {count}"
+    payload = _oracle_payload(
+        "twisted", inputs, "pass" if agree else "fail", {"orbit_count": count},
+        None if agree else {"orbit_count": count, "census_count": expected})
+    text = f"twisted orbit count: {count}"
+    if not agree:
+        text += f"  census: {expected}  MISMATCH"
+    return payload, text
 
 
 def cmd_oracle_commutant(args):
@@ -216,13 +206,8 @@ def cmd_oracle_commutant(args):
     sols = solve_commutant(field, datum.family, sigma, args.q, args.budget)
     cent = solve_commutant(field, datum.family, sigma, 1, args.budget)
     torsor_ok = len(sols) in (0, len(cent))
-    inputs = {
-        "group": datum.name.lower(),
-        "q": args.q,
-        "field": [field.p, field.k],
-        "seed": args.seed,
-        "sigma": [list(r) for r in sigma],
-    }
+    inputs = _oracle_inputs(args, datum, field)
+    inputs["sigma"] = [list(r) for r in sigma]
     result = {"solutions": len(sols), "centralizer": len(cent)}
     payload = _oracle_payload(
         "commutant", inputs, "pass" if torsor_ok else "fail", result,
@@ -234,13 +219,19 @@ def cmd_oracle_commutant(args):
 
 def cmd_oracle_classify(args):
     datum = parse_preset(args.group)
+    partition = _DETECTED_CLASS.get((datum.family, datum.n))
+    if partition is None:
+        raise ConfigError("oracle classify supports sl2 and gsp4")
     field = _field(args)
+    # raises for gsp4 at ell = 2, as `census` does
+    expected = sum(1 for e in census(datum, ArithmeticContext(args.q, args.ell))
+                   if e.unipotent.partition == partition)
     rng = random.Random(args.seed)
-    if datum.family == "SL" and datum.n == 2:
+    if datum.family == "SL":
         sigma = int_matrix(field, [[1, 1], [0, 1]])
         sols = solve_commutant(field, "SL", sigma, args.q, args.budget)
         report = classify_twist(field, "SL", sigma, args.q, sols)
-    elif datum.family == "GSp" and datum.n == 4:
+    else:
         lam = rng.randrange(1, field.order)
         qf = field.from_int(args.q)
         sigma = int_matrix(field, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]])
@@ -258,19 +249,16 @@ def cmd_oracle_classify(args):
             (0, 1, 0, 0),
         )
         report = classify_twist(field, "GSp", sigma, args.q, [phi_a, phi_b])
-    else:
-        raise ConfigError("oracle classify supports sl2 and gsp4")
-    inputs = {
-        "group": datum.name.lower(),
-        "q": args.q,
-        "field": [field.p, field.k],
-        "seed": args.seed,
-    }
+    found = len(report.labels)
     result = {"labels": list(report.labels), "counts": report.counts()}
     # no commutant solution leaves the detector nothing to label
+    verdict = "inconclusive" if not found else "pass" if found == expected else "fail"
     payload = _oracle_payload(
-        "classify", inputs, "pass" if report.labels else "inconclusive", result)
+        "classify", _oracle_inputs(args, datum, field), verdict, result,
+        {"labels": found, "census_entries": expected} if verdict == "fail" else None)
     text = "labels: " + (", ".join(report.labels) if report.labels else "(none)")
+    if verdict == "fail":
+        text += f"  census entries: {expected}  MISMATCH"
     return payload, text
 
 
@@ -281,13 +269,8 @@ def cmd_oracle_avoidant(args):
     torus = _levi_from_subset(datum, (), True)  # the empty subset is always stable
     m = random_torus_element(field, datum, rng)
     report = avoidant_check(field, datum, torus, m, args.q)
-    inputs = {
-        "group": datum.name.lower(),
-        "q": args.q,
-        "field": [field.p, field.k],
-        "seed": args.seed,
-        "m": [list(r) for r in m],
-    }
+    inputs = _oracle_inputs(args, datum, field)
+    inputs["m"] = [list(r) for r in m]
     payload = _oracle_payload(
         "avoidant", inputs, "pass" if report.avoidant else "fail",
         report.to_dict(), None if report.avoidant else {"failures": list(report.failures)})
@@ -325,13 +308,6 @@ def cmd_oracle_jacobian(args):
                     "report": rep.to_dict(),
                 }
     ok = bad is None
-    inputs = {
-        "group": datum.name.lower(),
-        "q": args.q,
-        "field": [field.p, field.k],
-        "seed": args.seed,
-        "trials": args.trials,
-    }
     result = {
         "samples": probed,
         "submersive": sum(1 for r in reports if r.submersive),
@@ -339,7 +315,8 @@ def cmd_oracle_jacobian(args):
     }
     # no trial gave a commutant solution: nothing was probed
     verdict = "inconclusive" if probed == 0 else "pass" if ok else "fail"
-    payload = _oracle_payload("jacobian", inputs, verdict, result, bad)
+    payload = _oracle_payload(
+        "jacobian", _oracle_inputs(args, datum, field, "trials"), verdict, result, bad)
     text = (f"samples: {probed}  submersive: {result['submersive']}"
             f"  rank-as-expected: {result['full_expected_rank']}")
     return payload, text
@@ -350,16 +327,9 @@ def cmd_oracle_identities(args):
     field = _field(args)
     _check_trials(args)
     report = eval_identity_trials(datum, args.q, field, args.trials, args.seed)
-    inputs = {
-        "group": datum.name.lower(),
-        "q": args.q,
-        "field": [field.p, field.k],
-        "seed": args.seed,
-        "trials": args.trials,
-    }
     payload = _oracle_payload(
-        "identities", inputs, "pass" if report.passed else "fail",
-        {"trials": report.trials}, report.failure)
+        "identities", _oracle_inputs(args, datum, field, "trials"),
+        "pass" if report.passed else "fail", {"trials": report.trials}, report.failure)
     text = (f"identity trials: {report.trials}  "
             f"{'all passed' if report.passed else 'FAILED'}")
     return payload, text
@@ -367,91 +337,69 @@ def cmd_oracle_identities(args):
 
 # -- parser --------------------------------------------------------------------
 
+# Every flag a subcommand can take.  A subcommand's row in `build_parser` names
+# the flags it takes; "q!" makes a flag required there and "q=3" gives it a
+# default there, which argparse parses with the flag's type.
+_FLAGS = {
+    "group": {"help": "preset, e.g. gl3, sl2, gsp4, u3"},
+    "q": {"type": int, "help": "residue cardinality (prime power)"},
+    "ell": {"type": int, "help": "coefficient characteristic (a prime not dividing q)"},
+    "order": {"type": int, "help": "order of the cyclic group"},
+    "twist": {"choices": ("id", "inv"), "default": "id"},
+    "trials": {"type": int},
+    "field-degree": {"type": int, "default": 1,
+                     "help": "extension degree k of the oracle field F_{ell^k}"},
+    "budget": {"type": int, "help": "enumeration cap (default: PARAM_ATLAS_BUDGET or 10^7)"},
+    "seed": {"type": int, "default": 0},
+    "output": {"choices": ("text", "json"), "default": "text"},
+}
 
-def _add_common(p, *, with_q=True, q_default=None, with_ell=True):
-    p.add_argument("--group", required=True, help="preset, e.g. gl3, sl2, gsp4, u3")
-    if with_q:
-        p.add_argument("--q", type=int, default=q_default,
-                       required=q_default is None, help="residue cardinality (prime power)")
-    if with_ell:
-        p.add_argument("--ell", type=int, default=None, help="coefficient characteristic")
-    p.add_argument("--output", choices=("text", "json"), default="text")
 
-
-def _add_oracle_common(p):
-    p.add_argument("--field-degree", dest="field_degree", type=int, default=1,
-                   help="extension degree k of the oracle field F_{ell^k}")
-    p.add_argument("--budget", type=int, default=None,
-                   help="enumeration cap (default: PARAM_ATLAS_BUDGET or 10^7)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", choices=("text", "json"), default="text")
+def _add_flags(parser: argparse.ArgumentParser, spec: str) -> None:
+    for word in spec.split():
+        name, _, default = word.partition("=")
+        kwargs = dict(_FLAGS[name.rstrip("!")])
+        if name.endswith("!"):
+            kwargs["required"] = True
+        elif default:
+            kwargs["default"] = default
+        parser.add_argument("--" + name.rstrip("!"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    oracle = "group! q! ell! {} field-degree budget seed output"
+    # (command, handler or None for a group of subcommands, help, flags); the
+    # handlers are read here, not at import, so a rebound cmd_* is the one run
+    commands = (
+        ("census", cmd_census, "unipotent component census", "group! q=3 ell output"),
+        ("bg-ring", cmd_bg_ring, "presentation of the fixed ring", "group! q! output"),
+        ("coverage", cmd_coverage, "Levi coverage report", "group! q=3 ell output"),
+        ("oracle", None, "brute-force finite validators", ""),
+        ("oracle twisted", cmd_oracle_twisted, "twisted orbit count for a cyclic group",
+         "order! twist budget output"),
+        ("oracle commutant", cmd_oracle_commutant,
+         "torsor check for the commutation equation", oracle.format("")),
+        ("oracle classify", cmd_oracle_classify,
+         "component-group labels for known detectors", oracle.format("")),
+        ("oracle avoidant", cmd_oracle_avoidant,
+         "eigenvalue-separation check at a torus point", oracle.format("")),
+        ("oracle jacobian", cmd_oracle_jacobian,
+         "rank probe for the defining equations", oracle.format("trials=5")),
+        ("oracle identities", cmd_oracle_identities,
+         "pointwise rewrite identity trials", oracle.format("trials=25")),
+    )
     parser = argparse.ArgumentParser(
         prog="param-atlas",
         description="census, fixed rings, and coverage for tame parameter moduli")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("census", help="unipotent component census")
-    _add_common(p, q_default=3)
-    p.set_defaults(handler=cmd_census)
-
-    p = sub.add_parser("bg-ring", help="presentation of the fixed ring")
-    _add_common(p, with_ell=False)
-    p.set_defaults(handler=cmd_bg_ring)
-
-    p = sub.add_parser("coverage", help="Levi coverage report")
-    _add_common(p, q_default=3)
-    p.set_defaults(handler=cmd_coverage)
-
-    po = sub.add_parser("oracle", help="brute-force finite validators")
-    osub = po.add_subparsers(dest="oracle_command", required=True)
-
-    p = osub.add_parser("twisted", help="twisted orbit count for a cyclic group")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--twist", choices=("id", "inv"), default="id")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(handler=cmd_oracle_twisted)
-
-    p = osub.add_parser("commutant", help="torsor check for the commutation equation")
-    p.add_argument("--group", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    _add_oracle_common(p)
-    p.set_defaults(handler=cmd_oracle_commutant)
-
-    p = osub.add_parser("classify", help="component-group labels for known detectors")
-    p.add_argument("--group", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    _add_oracle_common(p)
-    p.set_defaults(handler=cmd_oracle_classify)
-
-    p = osub.add_parser("avoidant", help="eigenvalue-separation check at a torus point")
-    p.add_argument("--group", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    _add_oracle_common(p)
-    p.set_defaults(handler=cmd_oracle_avoidant)
-
-    p = osub.add_parser("jacobian", help="rank probe for the defining equations")
-    p.add_argument("--group", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--trials", type=int, default=5)
-    _add_oracle_common(p)
-    p.set_defaults(handler=cmd_oracle_jacobian)
-
-    p = osub.add_parser("identities", help="pointwise rewrite identity trials")
-    p.add_argument("--group", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--trials", type=int, default=25)
-    _add_oracle_common(p)
-    p.set_defaults(handler=cmd_oracle_identities)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, handler, help_text, spec in commands:
+        group, _, name = command.rpartition(" ")
+        p = groups[group].add_parser(name, help=help_text)
+        if handler is None:
+            groups[command] = p.add_subparsers(dest=f"{name}_command", required=True)
+        else:
+            _add_flags(p, spec)
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -464,13 +412,10 @@ def main(argv=None) -> int:
             # handler never reaches an enumeration that reads it
             current_budget(args.budget)
         payload, text = args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (UnsupportedPresetError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, UnsupportedPresetError, q or ell out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output == "json":

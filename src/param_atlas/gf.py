@@ -283,6 +283,8 @@ def _dot(field: FiniteField, row, v):
 
 
 def mat_pow(field: FiniteField, a, e: int):
+    if e < 0:
+        raise ValueError(f"mat_pow needs an exponent >= 0, got {e}")
     n = len(a)
     result = mat_identity(n)
     base = [row[:] for row in a]

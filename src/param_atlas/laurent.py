@@ -201,12 +201,6 @@ class LaurentPolynomial:
 
     # -- inspection and printing -------------------------------------------
 
-    def support(self) -> list[Vec]:
-        return sorted(self.terms)
-
-    def coefficient(self, exps: Vec) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def total_degree(self) -> int:
         if not self.terms:
             return 0

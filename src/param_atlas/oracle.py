@@ -146,9 +146,6 @@ class TwistReport:
     def counts(self) -> dict[str, int]:
         return {lab: self.assignments.count(lab) for lab in self.labels}
 
-    def to_dict(self) -> dict:
-        return {"labels": list(self.labels), "assignments": list(self.assignments)}
-
 
 def _sub_identity(field: FiniteField, mat: Matrix) -> Matrix:
     return tuple(
@@ -678,9 +675,6 @@ class IdentityReport:
     passed: bool
     trials: int
     failure: Optional[dict]
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "trials": self.trials, "failure": self.failure}
 
 
 def eval_identity_trials(datum: GroupDatum, q: int, field: FiniteField, trials: int,

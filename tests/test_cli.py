@@ -10,6 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from param_atlas import cli
 from param_atlas.cli import main
 
 SCHEMA = json.loads(
@@ -195,6 +196,29 @@ def test_extension_field_json_bytes_pinned(capsys, command):
     code, out, err = run(capsys, *command.split(), "--output", "json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == EXTENSION_FIELD_DIGESTS[command]
+
+
+# sha256 of the JSON stdout of one prime-field command for each subcommand
+# that no other pin covers
+SUBCOMMAND_DIGESTS = {
+    "census --group u4 --q 4 --ell 3":
+        "7cac98ce4c0eb10272ea820f45af7b31b2fd0f4b0e18dd4d09406b78a8ac3d38",
+    "oracle commutant --group sl2 --q 4 --ell 5 --seed 1":
+        "fcf47abff7146822011e4d55b95213083b0525338476d38ccfeb90da609ef44c",
+    "oracle identities --group gsp4 --q 3 --ell 7 --trials 5 --seed 1":
+        "96ebe1c5d69cb464683f77b4a4ae9a9d774fff9c1f57811b5d46612a9b043b35",
+    "oracle avoidant --group gsp4 --q 3 --ell 53 --seed 2":
+        "d77b610d5ad6cbea7253692e238af8b1e7a07b077fcaccdada89faf35b1de1e8",
+    "oracle jacobian --group sl2 --q 4 --ell 5 --trials 4 --seed 1":
+        "4d1d153e2e7b3e8eb0fabefd4d6dd9e0cda84df757fd7d0882a808512da02396",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_DIGESTS))
+def test_subcommand_json_bytes_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--output", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == SUBCOMMAND_DIGESTS[command]
 
 
 def test_jacobian_with_no_samples_is_inconclusive(capsys):
@@ -389,6 +413,60 @@ def test_budget_env_is_used(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "twisted", "--order", "40")
     assert code == 3
     assert "budget is 100" in err
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_ARGV))
+@pytest.mark.parametrize("q", ["-1", "0", "1", "6"])
+def test_exit_code_q_not_a_prime_power_every_oracle(capsys, oracle, q):
+    argv = list(ORACLE_ARGV[oracle])
+    argv[argv.index("--q") + 1] = q
+    code, out, err = run(capsys, "oracle", oracle, *argv)
+    assert code == 2
+    assert out == ""
+    assert "prime power" in err and q in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_exit_code_field_degree_below_one(capsys, degree):
+    code, out, err = run(capsys, "oracle", "commutant", *ORACLE_ARGV["commutant"],
+                         "--field-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert "--field-degree" in err
+
+
+def test_classify_gsp4_at_ell_two_exits_like_census(capsys):
+    code, out, err = run(capsys, "oracle", "classify", "--group", "gsp4", "--q", "3",
+                         "--ell", "2")
+    assert code == 2
+    assert out == ""
+    assert "ell = 2" in err
+
+
+def test_classify_fails_when_census_disagrees(capsys, monkeypatch):
+    real_census = cli.census
+    # drop C2B, the second of the two (2,2) entries
+    monkeypatch.setattr(cli, "census", lambda datum, ctx: [
+        e for e in real_census(datum, ctx) if e.label != "C2B"])
+    payload = run_json(capsys, "oracle", "classify", "--group", "gsp4", "--q", "3",
+                       "--ell", "7")
+    assert payload["verdict"] == "fail"
+    assert payload["counterexample"] == {"labels": 2, "census_entries": 1}
+    code, out, _ = run(capsys, "oracle", "classify", "--group", "gsp4", "--q", "3",
+                       "--ell", "7")
+    assert code == 0
+    assert "MISMATCH" in out
+
+
+def test_twisted_fails_when_census_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "twisted_orbits_bruteforce", lambda group, twist, budget: 3)
+    payload = run_json(capsys, "oracle", "twisted", "--order", "4", "--twist", "inv")
+    assert payload["verdict"] == "fail"
+    assert payload["result"] == {"orbit_count": 3}
+    assert payload["counterexample"] == {"orbit_count": 3, "census_count": 2}
+    code, out, _ = run(capsys, "oracle", "twisted", "--order", "4", "--twist", "inv")
+    assert code == 0
+    assert out == "twisted orbit count: 3  census: 2  MISMATCH\n"
 
 
 def test_exit_code_missing_required_flag():

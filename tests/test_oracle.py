@@ -109,6 +109,12 @@ def test_solve_commutant_empty_when_target_scalar():
     assert solve_commutant(F5, "SL", diag(F5, 2, 3), 2) == []
 
 
+def test_solve_commutant_rejects_negative_q():
+    # mat_pow halves its exponent with >>, which never reaches 0 from -1
+    with pytest.raises(ValueError, match="exponent"):
+        solve_commutant(F5, "SL", diag(F5, 2, 3), -1)
+
+
 def test_solve_commutant_rejects_non_member_sigma():
     with pytest.raises(ValueError):
         solve_commutant(F5, "SL", ((2, 0), (0, 2)), 3)
