@@ -124,6 +124,10 @@ def solve(field, columns, target):
 
 
 def mat_det(field, rows):
+    """Determinant: ad - bc at size 2, Gaussian elimination otherwise."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return field.sub(field.mul(a, d), field.mul(b, c))
     a = [row[:] for row in rows]
     n = len(a)
     det = 1

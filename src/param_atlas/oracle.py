@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from . import gf
 from ._linalg import QQ, nullspace, solve
@@ -96,8 +96,16 @@ def solve_commutant(field: FiniteField, kind: str, sigma: Matrix, q: int,
     """All phi in the group with phi sigma phi^-1 = sigma^q, by kernel enumeration.
 
     The commutation equation is linear in phi; we enumerate the kernel of
-    X -> X sigma - sigma^q X and filter by group membership, so the cost is
-    |F|^(kernel dim), checked against the budget.
+    X -> X sigma - sigma^q X and filter by group membership.  There are
+    |F|^(kernel dim) candidates, and that count is checked against the budget
+    before any enumeration work, the multiples table included.
+
+    The table holds c * v for every c in F and every kernel basis vector v
+    (|F| * dim * n^2 entries).  The span is walked depth-first, one basis
+    vector per level, each level adding every multiple to its parent's
+    partial sum.  So a candidate costs n^2 field additions plus one
+    `is_member` test.  Only the |F| sums of each level on the current path
+    are held, so memory stays O(|F| * dim * n^2).
     """
     n = len(sigma)
     if not is_member(field, kind, sigma):
@@ -115,19 +123,35 @@ def solve_commutant(field: FiniteField, kind: str, sigma: Matrix, q: int,
     kernel = gf.nullspace(field, rows)
     required = field.order ** len(kernel)
     check_budget(required, "commutant kernel enumeration", budget)
-    out = []
-    for coeffs in product(range(field.order), repeat=len(kernel)):
-        flat = [0] * (n * n)
-        for c, vec in zip(coeffs, kernel):
-            if c:
-                for idx, v in enumerate(vec):
-                    if v:
-                        flat[idx] = field.add(flat[idx], field.mul(c, v))
-        mat = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-        if is_member(field, kind, mat):
-            out.append(mat)
+    # multiples[j][i][c] is row i of c * kernel[j]
+    multiples = [
+        [[tuple(field.mul(c, vec[i * n + b]) for b in range(n)) for c in field.elements()]
+         for i in range(n)]
+        for vec in kernel
+    ]
+    zero = tuple((0,) * n for _ in range(n))
+    out = [mat for mat in _span(multiples, zero, field.add) if is_member(field, kind, mat)]
     out.sort()
     return out
+
+
+def _span(multiples: list, partial: Matrix, add) -> Iterator[Matrix]:
+    """partial plus every sum of one multiple from each level, depth-first.
+
+    A level lists, for each row, that row of c * v for every c in F.  Each
+    level's |F| sums are built row by row and zipped into matrices.
+    """
+    if not multiples:
+        yield partial
+        return
+    head, rest = multiples[0], multiples[1:]
+    sums = zip(*[[tuple(map(add, row, step)) for step in steps]
+                 for row, steps in zip(partial, head)])
+    if not rest:
+        yield from sums
+        return
+    for mat in sums:
+        yield from _span(rest, mat, add)
 
 
 def centralizer_order(field: FiniteField, kind: str, sigma: Matrix,

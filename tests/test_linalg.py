@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -69,6 +70,44 @@ def test_kernel_over_field(field, seed):
         cols_of_inv = [[row[j] for row in inv] for j in range(ncols)]
         product = [[_dot(field, row, col) for col in cols_of_inv] for row in square]
         assert product == identity
+
+
+def _leibniz_det(field, rows):
+    """sum over permutations s of sign(s) * prod_i rows[i][s(i)]."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = field.mul(term, rows[i][j])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = field.sub(total, term) if inversions % 2 else field.add(total, term)
+    return total
+
+
+# zero pivots: the first column's leading entry vanishes, forcing a row swap
+ZERO_PIVOT = [
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 0], [1, 1]], 0),
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], -1),
+    ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 1),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS + [get_field(2, 2)], ids=repr)
+def test_det_matches_leibniz_expansion(field):
+    """Elimination (sizes 1, 3, 4) and the closed form at size 2 against Leibniz."""
+    rng = random.Random(7)
+    for rows, sign in ZERO_PIVOT:
+        if field is not QQ:
+            rows = [[field.from_int(x) for x in row] for row in rows]
+            sign = field.from_int(sign)
+        assert mat_det(field, rows) == sign == _leibniz_det(field, rows), rows
+    for size in (1, 2, 3, 4):
+        for _ in range(40):
+            rows = _matrix(field, rng, size, size)
+            assert mat_det(field, rows) == _leibniz_det(field, rows), rows
 
 
 def test_solve_integer_branches():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -132,6 +133,74 @@ def test_torsor_property_random_sample():
         cent = centralizer_order(F5, "SL", sigma)
         for q in (2, 3, 4):
             assert len(solve_commutant(F5, "SL", sigma, q)) in (0, cent)
+
+
+def test_solve_commutant_budget_precedes_the_multiples_table(monkeypatch):
+    field = gf.FiniteField(2, 8)
+
+    def built(*args):
+        raise AssertionError("the multiples table was built before the budget check")
+
+    monkeypatch.setattr(field, "elements", built)
+    monkeypatch.setattr(field, "units", built)
+    with pytest.raises(BudgetExceededError):
+        solve_commutant(field, "GL", ((1, 0), (0, 1)), 1, budget=256 ** 4 - 1)
+
+
+def _roots(field, t, d):
+    """Roots in the field of x^2 - t x + d."""
+    return [x for x in field.elements()
+            if field.add(field.sub(field.mul(x, x), field.mul(t, x)), d) == 0]
+
+
+def _regular_sigmas(field, kind):
+    """Regular sigma by type: split (distinct roots), elliptic, unipotent.
+
+    The split type is missing when the group has no such element: GL_2(F_2),
+    SL_2(F_2) and SL_2(F_3) have none.
+    """
+    units = list(field.units())
+    dets = (1,) if kind == "SL" else units
+    split = next((((a, 0), (0, field.mul(d, field.inv(a))))
+                  for d in dets for a in units if field.mul(a, a) != d), None)
+    t, d = next((t, d) for d in dets for t in field.elements() if not _roots(field, t, d))
+    # the elliptic sigma is the companion matrix of x^2 - t x + d
+    sigmas = {"elliptic": ((0, field.neg(d)), (1, t)), "unipotent": ((1, 1), (0, 1))}
+    if split is not None:
+        sigmas["split"] = split
+    return sigmas
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_solve_commutant_matches_the_definition_on_every_matrix(p, k):
+    field = gf.FiniteField(p, k)
+    everything = [((a, b), (c, d)) for a, b, c, d in product(field.elements(), repeat=4)]
+    nonempty = set()
+    for kind in ("SL", "GL"):
+        for sigma in _regular_sigmas(field, kind).values():
+            for q in (1, 2, 3, 4):
+                expected = [phi for phi in everything
+                            if is_commutant_solution(field, kind, sigma, q, phi)]
+                assert solve_commutant(field, kind, sigma, q) == expected, (kind, sigma, q)
+                nonempty.add(bool(expected))
+    assert nonempty == {False, True}  # some solution sets are empty, some are not
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (11, 1), (2, 8)])
+def test_centralizer_order_closed_forms(p, k):
+    field = gf.FiniteField(p, k)
+    big_q = field.order
+    expected = {
+        "GL": {"split": (big_q - 1) ** 2, "elliptic": big_q ** 2 - 1,
+               "unipotent": big_q * (big_q - 1)},
+        "SL": {"split": big_q - 1, "elliptic": big_q + 1,
+               "unipotent": big_q * math.gcd(2, big_q - 1)},
+    }
+    for kind, orders in expected.items():
+        sigmas = _regular_sigmas(field, kind)
+        assert sigmas.keys() == orders.keys()
+        for name, sigma in sigmas.items():
+            assert centralizer_order(field, kind, sigma) == orders[name], (kind, name)
 
 
 # -- component-group detectors -------------------------------------------------
