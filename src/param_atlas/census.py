@@ -106,13 +106,14 @@ class ExplicitGroup:
     table[a][b] is the index of a*b, and labels[a] is the string that names a.
     Labels appear only at the edges: at construction, in the label -> label
     twists that callers pass, and in the representatives that reach the
-    output; `mul`, `inv` and `element_order` take and return labels.  Inverses
-    and the abelian flag are precomputed: twisted-class counting is run over
-    every automorphism of every small group in the test suite, so the
-    per-call cost matters.
+    output; `mul`, `inv` and `element_order` take and return labels.  Inverses,
+    the abelian flag and a generating set are precomputed: twisted-class
+    counting is run over every automorphism of every small group in the test
+    suite, so the per-call cost matters.  `generators` takes each element in
+    label order that lies outside the subgroup the earlier ones generate.
     """
 
-    __slots__ = ("name", "labels", "table", "inverse", "abelian", "_index")
+    __slots__ = ("name", "labels", "table", "inverse", "abelian", "generators", "_index")
 
     def __init__(self, name: str, labels: tuple[str, ...], table: Sequence[Sequence[int]]):
         self.name = name
@@ -128,6 +129,22 @@ class ExplicitGroup:
         self.abelian = all(
             self.table[a][b] == self.table[b][a] for a in range(self.order) for b in range(a)
         )
+        gens: list[int] = []
+        closure = {0}
+        for a in sorted(range(self.order), key=labels.__getitem__):
+            if a in closure:
+                continue
+            gens.append(a)
+            # in a finite group, closing under right multiplication by the
+            # generators already gives the subgroup they generate
+            frontier = list(closure)
+            while frontier:
+                row = self.table[frontier.pop()]
+                for y in map(row.__getitem__, gens):
+                    if y not in closure:
+                        closure.add(y)
+                        frontier.append(y)
+        self.generators = tuple(gens)
 
     def __repr__(self) -> str:
         return f"ExplicitGroup({self.name}, order {self.order})"
@@ -156,14 +173,19 @@ class ExplicitGroup:
             return None
         return images if len(set(images)) == self.order else None
 
-    def _respects(self, images: tuple[int, ...]) -> bool:
-        """Whether images[a*b] == images[a]*images[b] for all a, b."""
+    def _respects(self, images: Sequence[int]) -> bool:
+        """Whether images[a*g] == images[a]*images[g] for every a and generator g.
+
+        Every element is a word in the generators, so this is images[a*b] ==
+        images[a]*images[b] for all a, b.
+        """
         table = self.table
-        return all(
-            images[ab] == table[ia][ib]
-            for row, ia in zip(table, images)
-            for ab, ib in zip(row, images)
-        )
+        for g in self.generators:
+            h = images[g]
+            for row, ia in zip(table, images):
+                if images[row[g]] != table[ia][h]:
+                    return False
+        return True
 
     def is_automorphism(self, twist: Mapping[str, str]) -> bool:
         images = self.twist_indices(twist)
@@ -278,7 +300,8 @@ def twisted_class_count(group: ExplicitGroup, twist: Optional[Mapping[str, str]]
     """
     n = group.order
     images = tuple(range(n)) if twist is None else group.twist_indices(twist)
-    if images is None or not group._respects(images):
+    # the identity needs no test: it is always an automorphism
+    if twist is not None and (images is None or not group._respects(images)):
         raise ValueError("twist is not an automorphism of the group")
     table = group.table
     twist_inv = [group.inverse[t] for t in images]  # g -> twist(g)^-1

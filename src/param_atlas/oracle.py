@@ -3,7 +3,9 @@
 Everything here is an independent shadow of the symbolic modules: exhaustive
 commutation solving, twisted-orbit enumeration, eigenvalue avoidance, and
 Jacobian rank probes.  Nothing imports results from the census or the ring
-presentations except as the object under test.
+presentations except as the object under test; automorphism enumeration uses
+`ExplicitGroup`'s homomorphism test, which the tests check against the
+all-pairs definition.
 """
 
 from __future__ import annotations
@@ -264,8 +266,8 @@ def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str,
         stack = [start]
         while stack:
             a = stack.pop()
-            for g, t in enumerate(twist_inv):
-                b = table[table[g][a]][t]
+            for row, t in zip(table, twist_inv):
+                b = table[row[a]][t]
                 if b not in orbit:
                     orbit.add(b)
                     stack.append(b)
@@ -279,33 +281,10 @@ def inner_twist(group: ExplicitGroup, g: str) -> dict[str, str]:
     return {a: group.mul(group.mul(g, a), ginv) for a in group.labels}
 
 
-def _generating_set(group: ExplicitGroup) -> list[int]:
-    table = group.table
-    gens: list[int] = []
-    closure = {0}
-    for a in sorted(range(group.order), key=group.labels.__getitem__):
-        if a in closure:
-            continue
-        gens.append(a)
-        queue = [a]
-        while queue:
-            x = queue.pop()
-            if x in closure:
-                continue
-            closure.add(x)
-            for y in list(closure):
-                for z in (table[x][y], table[y][x]):
-                    if z not in closure:
-                        queue.append(z)
-        if len(closure) == group.order:
-            break
-    return gens
-
-
 def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
     """Every automorphism, by extending order-compatible generator images."""
     table = group.table
-    gens = _generating_set(group)
+    gens = group.generators
     # BFS spanning tree: each element reached as (parent) * gen
     parent: dict[int, tuple[int, int]] = {}
     order_list = [0]
@@ -330,11 +309,7 @@ def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
         for y in order_list[1:]:
             x, i = parent[y]
             phi[y] = table[phi[x]][images[i]]
-        if len(set(phi)) == group.order and all(
-            phi[table[a][g]] == table[phi[a]][h]
-            for g, h in zip(gens, images)
-            for a in range(group.order)
-        ):
+        if len(set(phi)) == group.order and group._respects(phi):
             out.append({labels[y]: labels[phi[y]] for y in order_list})
     return out
 

@@ -1,5 +1,8 @@
 """Unipotent classes, explicit small groups, twisted classes, and the census."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,7 @@ from param_atlas.census import (
     twisted_class_count,
     unipotent_classes,
 )
+from param_atlas.oracle import all_automorphisms
 from param_atlas.root_datum import ArithmeticContext, build_group
 
 
@@ -120,6 +124,79 @@ def test_is_automorphism():
         assert not g.is_automorphism(bad)
         with pytest.raises(ValueError):
             twisted_class_count(g, bad)
+
+
+def _product(*groups):
+    g = groups[0]
+    for h in groups[1:]:
+        g = direct_product(g, h)
+    return g
+
+
+def _subgroup(group, gens):
+    """The subgroup generated by gens, closed under products on both sides."""
+    sub = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (group.table[x][g], group.table[g][x]):
+                if y not in sub:
+                    sub.add(y)
+                    frontier.append(y)
+    return sub
+
+
+def _respects_all_pairs(group, images):
+    t = group.table
+    return all(images[t[a][b]] == t[images[a]][images[b]]
+               for a in range(group.order) for b in range(group.order))
+
+
+def test_generators_greedy_in_label_order():
+    z2 = cyclic_group(2)
+    groups = [cyclic_group(d) for d in range(1, 13)] + [
+        _product(z2, z2), _product(z2, cyclic_group(4)), _product(z2, z2, z2),
+        _product(z2, z2, z2, z2), _product(cyclic_group(4), cyclic_group(4)),
+        _product(cyclic_group(3), cyclic_group(6)), symmetric_group_3(), quaternion_group(),
+        _product(symmetric_group_3(), z2), _product(quaternion_group(), z2),
+    ]
+    for g in groups:
+        assert _subgroup(g, g.generators) == set(range(g.order)), g
+        for i, gen in enumerate(g.generators):
+            outside = set(range(g.order)) - _subgroup(g, g.generators[:i])
+            assert g.labels[gen] == min(g.labels[a] for a in outside), (g, i)
+    assert len(_product(z2, z2, z2, z2).generators) == 4
+    big = cyclic_group(500)
+    assert [big.labels[a] for a in big.generators] == ["1"]
+    assert trivial_group().generators == ()
+
+
+def test_generator_test_matches_all_pairs_on_every_bijection():
+    z2 = cyclic_group(2)
+    groups = [cyclic_group(d) for d in range(2, 7)] + [_product(z2, z2), symmetric_group_3()]
+    for g in groups:
+        verdicts = set()
+        for images in itertools.permutations(range(g.order)):
+            verdict = g._respects(images)
+            assert verdict == _respects_all_pairs(g, images), (g, images)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_generator_test_matches_all_pairs_on_sampled_bijections():
+    rng = random.Random(10)
+    z2 = cyclic_group(2)
+    for g in (quaternion_group(), _product(z2, cyclic_group(4)), _product(z2, z2, z2),
+              _product(symmetric_group_3(), z2)):
+        autos = [g.twist_indices(t) for t in all_automorphisms(g)]
+        # near misses: an automorphism followed by a transposition
+        near = [tuple(a[i] if a[i] not in (x, y) else x + y - a[i] for i in range(g.order))
+                for a in autos[:20] for x, y in [rng.sample(range(g.order), 2)]]
+        sample = [tuple(rng.sample(range(g.order), g.order)) for _ in range(300)]
+        assert any(images[0] != 0 for images in sample)
+        for images in autos + near + sample:
+            assert g._respects(images) == _respects_all_pairs(g, images), (g, images)
 
 
 # -- twisted classes -----------------------------------------------------------

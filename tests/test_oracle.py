@@ -1,8 +1,10 @@
 """Finite-field oracles: brute-force solvers the symbolic layer is checked against."""
 
+import hashlib
+import json
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -265,12 +267,63 @@ def test_inner_twist_orbits_are_conjugacy_classes():
         assert twisted_orbits_bruteforce(g, inner_twist(g, g.labels[0])) == orbits
 
 
+def _orbits_union_find(group, images):
+    """Twisted orbits by definition: join a and g a twist(g)^-1 for every pair (g, a)."""
+    t = group.table
+    parent = list(range(group.order))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g, a in product(range(group.order), repeat=2):
+        parent[find(a)] = find(t[t[g][a]][group.inverse[images[g]]])
+    return sum(1 for x in range(group.order) if find(x) == x)
+
+
+def test_bruteforce_orbits_match_definition_on_every_bijection():
+    z2 = cyclic_group(2)
+    for g in (cyclic_group(4), direct_product(z2, z2), symmetric_group_3()):
+        for images in permutations(range(g.order)):
+            twist = {g.labels[a]: g.labels[b] for a, b in enumerate(images)}
+            assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, images)
+
+
+def test_bruteforce_orbits_close_over_all_of_g_for_non_homomorphisms():
+    # This bijection fixes the generator 1 of Z/4 but is not a homomorphism.
+    # Closing over the generator alone would leave all 4 elements apart; the
+    # moves by 2 and 3 join everything.
+    g = cyclic_group(4)
+    twist = {"0": "0", "1": "1", "2": "3", "3": "2"}
+    assert not g.is_automorphism(twist)
+    assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, (0, 1, 3, 2)) == 1
+
+
 def test_all_automorphisms_known_orders():
-    assert len(all_automorphisms(cyclic_group(4))) == 2
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    z2_3 = direct_product(direct_product(z2, z2), z2)
+    assert len(all_automorphisms(z4)) == 2
     assert len(all_automorphisms(cyclic_group(8))) == 4
-    assert len(all_automorphisms(direct_product(cyclic_group(2), cyclic_group(2)))) == 6
+    assert len(all_automorphisms(cyclic_group(16))) == 8
+    assert len(all_automorphisms(direct_product(z2, z2))) == 6
+    assert len(all_automorphisms(z2_3)) == 168  # |GL_3(F_2)|
+    assert len(all_automorphisms(direct_product(z2_3, z2))) == 20160  # |GL_4(F_2)|
+    assert len(all_automorphisms(direct_product(direct_product(z2, z2), z4))) == 192
+    assert len(all_automorphisms(direct_product(z4, z4))) == 96
+    assert len(all_automorphisms(direct_product(z2, cyclic_group(8)))) == 16
     assert len(all_automorphisms(symmetric_group_3())) == 6
     assert len(all_automorphisms(quaternion_group())) == 24
+
+
+@pytest.mark.parametrize("group, digest", [
+    (direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2)),
+     "cc07cb31c93cf2f9a7e04e2264d94f2dd7b42bba31d092cad75f116df86ce8ab"),
+    (quaternion_group(), "d729520882e1691631b6637f0234f0be70858758d45b38796bb93a5e63dc30b7"),
+], ids=["Z2^3", "Q8"])
+def test_all_automorphisms_order_pinned(group, digest):
+    # json.dumps keeps the list order and each dict's key order
+    assert hashlib.sha256(json.dumps(all_automorphisms(group)).encode()).hexdigest() == digest
 
 
 def test_nonabelian_product_twisted_classes_and_automorphisms():
