@@ -334,10 +334,6 @@ def twisted_class_count(group: ExplicitGroup, twist: Optional[Mapping[str, str]]
     return TwistedClasses(len(orbits), tuple(reps), "cokernel" if group.abelian else "orbit")
 
 
-def conjugacy_class_count(group: ExplicitGroup) -> int:
-    return twisted_class_count(group).count
-
-
 # -- component groups of unipotent centralizers ------------------------------
 
 

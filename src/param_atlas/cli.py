@@ -4,6 +4,7 @@ Every subcommand is one row of the table in `build_parser`: its handler, its
 help and the flags it takes, each defined once in `_FLAGS`.  Every q and ell
 is checked by `ArithmeticContext` (q a prime power, ell a prime other than
 p), and every oracle on a group builds its `inputs` with `_oracle_inputs`.
+Each handler imports the modules it runs, so a job loads only those.
 
 Output is deterministic for a fixed (config, seed): tables are canonically
 sorted and JSON is dumped with sorted keys, so golden-file comparisons are
@@ -14,30 +15,16 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import random
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .budget import BudgetExceededError, current_budget
-from .census import census, cyclic_group, twisted_class_count
-from .coverage import _levi_from_subset, coverage_report
-from .gf import FiniteField, get_field
-from .invariant_rings import bg_presentation
-from .oracle import (
-    avoidant_check,
-    classify_twist,
-    eval_identity_trials,
-    int_matrix,
-    jacobian_probe,
-    random_regular_element,
-    random_torus_element,
-    solve_commutant,
-    twisted_orbits_bruteforce,
-)
 from .root_datum import ArithmeticContext, GroupDatum, build_group
+
+if TYPE_CHECKING:
+    from .gf import FiniteField
 
 SCHEMA_VERSION = 1
 
@@ -62,6 +49,8 @@ def parse_preset(text: str) -> GroupDatum:
 
 def _field(args) -> FiniteField:
     """The oracle field F_{ell^k}, once q and ell have passed `ArithmeticContext`."""
+    from .gf import get_field
+
     ctx = ArithmeticContext(args.q, args.ell)
     if args.field_degree < 1:
         raise ConfigError("--field-degree must be >= 1")
@@ -74,6 +63,8 @@ def _check_trials(args) -> None:
 
 
 def _digest(inputs: dict) -> str:
+    import hashlib
+
     blob = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -128,6 +119,8 @@ def _atlas_payload(kind: str, datum: GroupDatum, ctx: ArithmeticContext, entries
 
 
 def cmd_census(args):
+    from .census import census
+
     datum = parse_preset(args.group)
     ctx = ArithmeticContext(args.q, args.ell)
     entries = [e.to_dict() for e in census(datum, ctx)]
@@ -151,6 +144,8 @@ def cmd_census(args):
 
 
 def cmd_coverage(args):
+    from .coverage import coverage_report
+
     datum = parse_preset(args.group)
     ctx = ArithmeticContext(args.q, args.ell)
     verdicts = coverage_report(datum, ctx)
@@ -167,6 +162,8 @@ def cmd_coverage(args):
 
 
 def cmd_bg_ring(args):
+    from .invariant_rings import bg_presentation
+
     datum = parse_preset(args.group)
     pres = bg_presentation(datum, ArithmeticContext(args.q).q)
     payload = pres.to_dict()
@@ -179,6 +176,9 @@ def cmd_bg_ring(args):
 
 
 def cmd_oracle_twisted(args):
+    from .census import cyclic_group, twisted_class_count
+    from .oracle import twisted_orbits_bruteforce
+
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
     group = cyclic_group(args.order)
@@ -197,6 +197,10 @@ def cmd_oracle_twisted(args):
 
 
 def cmd_oracle_commutant(args):
+    import random
+
+    from .oracle import random_regular_element, solve_commutant
+
     datum = parse_preset(args.group)
     if datum.family not in ("SL", "GL") or datum.n != 2:
         raise ConfigError("oracle commutant supports sl2 and gl2")
@@ -218,6 +222,11 @@ def cmd_oracle_commutant(args):
 
 
 def cmd_oracle_classify(args):
+    import random
+
+    from .census import census
+    from .oracle import classify_twist, int_matrix, solve_commutant
+
     datum = parse_preset(args.group)
     partition = _DETECTED_CLASS.get((datum.family, datum.n))
     if partition is None:
@@ -263,6 +272,11 @@ def cmd_oracle_classify(args):
 
 
 def cmd_oracle_avoidant(args):
+    import random
+
+    from .coverage import _levi_from_subset
+    from .oracle import avoidant_check, random_torus_element
+
     datum = parse_preset(args.group)
     field = _field(args)
     rng = random.Random(args.seed)
@@ -282,6 +296,10 @@ def cmd_oracle_avoidant(args):
 
 
 def cmd_oracle_jacobian(args):
+    import random
+
+    from .oracle import jacobian_probe, random_regular_element, solve_commutant
+
     datum = parse_preset(args.group)
     if datum.family not in ("SL", "GL") or datum.n != 2:
         raise ConfigError("oracle jacobian supports sl2 and gl2")
@@ -323,6 +341,8 @@ def cmd_oracle_jacobian(args):
 
 
 def cmd_oracle_identities(args):
+    from .oracle import eval_identity_trials
+
     datum = parse_preset(args.group)
     field = _field(args)
     _check_trials(args)

@@ -28,13 +28,12 @@ non-similitude generator, and nu^{q-1} - 1 for the similitude coordinate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 import heapq
 import itertools
 from operator import add
 
-from ._linalg import QQ, Vec, dot, mat_rank, solve
+from ._linalg import QQ, Vec, dot, solve
 from .budget import check_budget
 from .laurent import LaurentPolynomial
 from .root_datum import (
@@ -303,22 +302,6 @@ def rewrite_in_generators(datum: GroupDatum, gens: GeneratorSet,
             else:
                 del work[mu]
     raise RuntimeError("rewrite did not terminate; generator table is broken")
-
-
-def expand_in_generators(gens: GeneratorSet, p: LaurentPolynomial) -> LaurentPolynomial:
-    """Substitute the generator polynomials into a symbol polynomial."""
-    return p.substitute(list(gens.polys))
-
-
-def generator_jacobian_rank(datum: GroupDatum, point: list[Fraction]) -> int:
-    """Rank of the generator Jacobian at a rational torus point.
-
-    Full rank at one point certifies algebraic independence of the generators.
-    """
-    gens = fundamental_invariants(datum)
-    rows = [[Fraction(g.derivative(j).evaluate(point)) for j in range(datum.torus_rank)]
-            for g in gens.polys]
-    return mat_rank(QQ, rows)
 
 
 # -- fixed-ring presentations ----------------------------------------------

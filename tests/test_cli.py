@@ -1,6 +1,7 @@
 """CLI surface: text output, JSON payloads against the schema, exit codes."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import pathlib
@@ -10,7 +11,6 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from param_atlas import cli
 from param_atlas.cli import main
 
 SCHEMA = json.loads(
@@ -444,9 +444,10 @@ def test_classify_gsp4_at_ell_two_exits_like_census(capsys):
 
 
 def test_classify_fails_when_census_disagrees(capsys, monkeypatch):
-    real_census = cli.census
+    census_module = importlib.import_module("param_atlas.census")
+    real_census = census_module.census
     # drop C2B, the second of the two (2,2) entries
-    monkeypatch.setattr(cli, "census", lambda datum, ctx: [
+    monkeypatch.setattr(census_module, "census", lambda datum, ctx: [
         e for e in real_census(datum, ctx) if e.label != "C2B"])
     payload = run_json(capsys, "oracle", "classify", "--group", "gsp4", "--q", "3",
                        "--ell", "7")
@@ -459,7 +460,8 @@ def test_classify_fails_when_census_disagrees(capsys, monkeypatch):
 
 
 def test_twisted_fails_when_census_disagrees(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "twisted_orbits_bruteforce", lambda group, twist, budget: 3)
+    oracle = importlib.import_module("param_atlas.oracle")
+    monkeypatch.setattr(oracle, "twisted_orbits_bruteforce", lambda group, twist, budget: 3)
     payload = run_json(capsys, "oracle", "twisted", "--order", "4", "--twist", "inv")
     assert payload["verdict"] == "fail"
     assert payload["result"] == {"orbit_count": 3}

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from param_atlas import gf
+from param_atlas._linalg import QQ, mat_rank
 from param_atlas.budget import BudgetExceededError
 from param_atlas.invariant_rings import (
     GeneratorSet,
@@ -22,16 +23,30 @@ from param_atlas.invariant_rings import (
     bg_presentation,
     count_points,
     dickson_polynomial,
-    expand_in_generators,
     frobenius_pullback,
     fundamental_invariants,
-    generator_jacobian_rank,
     non_invariance_witness,
     orbit_sum,
     rewrite_in_generators,
 )
 from param_atlas.laurent import LaurentPolynomial
 from param_atlas.root_datum import build_group
+
+
+def expand_in_generators(gens: GeneratorSet, p: LaurentPolynomial) -> LaurentPolynomial:
+    """Substitute the generator polynomials into a symbol polynomial."""
+    return p.substitute(list(gens.polys))
+
+
+def generator_jacobian_rank(datum, point: list[Fraction]) -> int:
+    """Rank of the generator Jacobian at a rational torus point.
+
+    Full rank at one point certifies algebraic independence of the generators.
+    """
+    gens = fundamental_invariants(datum)
+    rows = [[Fraction(g.derivative(j).evaluate(point)) for j in range(datum.torus_rank)]
+            for g in gens.polys]
+    return mat_rank(QQ, rows)
 
 
 def test_orbit_sum_gl2():

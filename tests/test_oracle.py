@@ -13,7 +13,6 @@ from param_atlas.budget import BudgetExceededError
 from param_atlas.census import (
     census,
     component_group,
-    conjugacy_class_count,
     cyclic_group,
     direct_product,
     quaternion_group,
@@ -42,6 +41,11 @@ from param_atlas.oracle import (
     twisted_orbits_bruteforce,
 )
 from param_atlas.root_datum import ArithmeticContext, build_group
+
+
+def conjugacy_class_count(group) -> int:
+    return twisted_class_count(group).count
+
 
 F5 = gf.FiniteField(5)
 F7 = gf.FiniteField(7)
