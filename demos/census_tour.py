@@ -22,7 +22,7 @@ def main() -> None:
                 bits.append("distinguished")
             note = f"  [{', '.join(bits)}]" if bits else ""
             print(f"  {e.label:<4} partition {e.unipotent.partition}  "
-                  f"pi0 {e.pi0.describe():<5} class {e.twisted_rep}{note}")
+                  f"pi0 {e.pi0.name:<5} class {e.twisted_rep}{note}")
             if e.pi0.curated_note:
                 print(f"       note: {e.pi0.curated_note}")
 

@@ -20,7 +20,7 @@ _EXPORTS = {
     "budget": "BudgetExceededError DEFAULT_BUDGET check_budget current_budget",
     "census": "CensusEntry ComponentGroup ExplicitGroup TwistedClasses UnipotentClass census "
               "component_group cyclic_group direct_product partitions quaternion_group "
-              "symmetric_group_3 symplectic_partitions trivial_group twisted_class_count "
+              "symmetric_group_3 symplectic_partitions twisted_class_count "
               "unipotent_classes",
     "coverage": "CoverageVerdict StandardLevi coverage_report is_regular_in "
                 "simple_root_permutation standard_levis",

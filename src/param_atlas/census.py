@@ -9,6 +9,7 @@ Frobenius-twisted conjugacy class in that component group.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,13 +87,8 @@ class UnipotentClass:
 
 def unipotent_classes(datum: GroupDatum) -> list[UnipotentClass]:
     """All unipotent classes of the preset, sorted by (rank(u-1), partition)."""
-    if datum.family in ("GL", "SL", "U"):
-        parts = partitions(datum.n)
-        ambient = datum.n
-    else:
-        parts = symplectic_partitions(datum.n)
-        ambient = datum.n
-    classes = [UnipotentClass(datum.family, ambient, p) for p in parts]
+    parts = symplectic_partitions(datum.n) if datum.family == "GSp" else partitions(datum.n)
+    classes = [UnipotentClass(datum.family, datum.n, p) for p in parts]
     classes.sort(key=lambda c: (c.rank_drop, c.partition))
     return classes
 
@@ -198,10 +194,6 @@ class ExplicitGroup:
             x = self.table[x][i]
             n += 1
         return n
-
-
-def trivial_group() -> ExplicitGroup:
-    return cyclic_group(1)
 
 
 @lru_cache(maxsize=None)
@@ -348,78 +340,44 @@ def prime_to_part(d: int, ell: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class ComponentGroup:
-    """pi_0 of a unipotent centralizer, with its Frobenius twist.
+    """pi_0 of a unipotent centralizer, realized at one ell.
 
-    kind "mu" is multiplicative type mu_d: its point count over a field of
-    residue characteristic ell is the prime-to-ell part of d.  kind "explicit"
-    is a constant etale group, insensitive to ell for the supported presets.
+    `name` is the group scheme: "1", mu_d, or a constant etale (Z/2)^r.
+    `group` is its ell'-points as an explicit group: for mu_d that is the
+    prime-to-ell part of d, and the etale groups of the supported presets do
+    not depend on ell.
     """
 
-    kind: str  # "trivial" | "mu" | "explicit"
-    d: int = 1
-    explicit: Optional[ExplicitGroup] = None
+    name: str
+    group: ExplicitGroup
     curated_note: Optional[str] = None
-
-    def describe(self) -> str:
-        if self.kind == "trivial":
-            return "1"
-        if self.kind == "mu":
-            return f"mu_{self.d}"
-        return self.explicit.name
-
-    def point_count(self, ell: Optional[int]) -> int:
-        if self.kind == "trivial":
-            return 1
-        if self.kind == "mu":
-            return prime_to_part(self.d, ell)
-        return self.explicit.order
-
-    def realize(self, ell: Optional[int]) -> ExplicitGroup:
-        """The finite group of ell'-points, as an explicit group."""
-        if self.kind == "trivial":
-            return trivial_group()
-        if self.kind == "mu":
-            return cyclic_group(prime_to_part(self.d, ell))
-        return self.explicit
 
 
 def component_group(datum: GroupDatum, cls: UnipotentClass, ctx: ArithmeticContext) -> ComponentGroup:
-    """Curated pi_0 of the centralizer of a unipotent of the given class."""
+    """Curated pi_0 of the centralizer of a unipotent of the given class, at ctx.ell."""
     if cls.family != datum.family or cls.ambient != datum.n:
         raise ValueError(f"class {cls.partition} does not belong to {datum.name}")
     if datum.family in ("GL", "U"):
-        return ComponentGroup("trivial")
+        return ComponentGroup("1", cyclic_group(1))
     if datum.family == "SL":
-        return ComponentGroup("mu", d=math.gcd(*cls.partition))
+        d = math.gcd(*cls.partition)
+        return ComponentGroup(f"mu_{d}", cyclic_group(prime_to_part(d, ctx.ell)))
     # GSp: etale (Z/2)^{distinct even parts}, modulo the class of the central -1,
     # which pairs each even part d with m_d mod 2.
     if ctx.ell == 2:
         raise ValueError("ell = 2 is not supported for GSp presets (pi_0 data assumes ell odd)")
-    even_parts = sorted({d for d in cls.partition if d % 2 == 0})
-    if not even_parts:
-        return ComponentGroup("trivial")
-    center_class = tuple(cls.partition.count(d) % 2 for d in even_parts)
-    order = 2 ** len(even_parts)
-    if any(center_class):
-        order //= 2
     if datum.n == 6 and cls.partition == (4, 2):
         # classical tables give order 2 here; the census is pinned to a single
         # component for this class, so pi_0 is overridden and flagged
-        return ComponentGroup(
-            "trivial",
-            curated_note=(
-                "curated-uncertain: centralizer tables suggest Z/2 but the class "
-                "is pinned to a single component; see README"
-            ),
-        )
-    if order == 1:
-        return ComponentGroup("trivial")
-    if order == 2:
-        return ComponentGroup("explicit", explicit=cyclic_group(2))
-    group = cyclic_group(2)
-    for _ in range(order.bit_length() - 2):
+        return ComponentGroup("1", cyclic_group(1), curated_note=(
+            "curated-uncertain: centralizer tables suggest Z/2 but the class "
+            "is pinned to a single component; see README"))
+    even_parts = {d for d in cls.partition if d % 2 == 0}
+    rank = len(even_parts) - any(cls.partition.count(d) % 2 for d in even_parts)
+    group = cyclic_group(2 if rank else 1)
+    for _ in range(rank - 1):
         group = direct_product(group, cyclic_group(2))
-    return ComponentGroup("explicit", explicit=group)
+    return ComponentGroup(group.name, group)
 
 
 # -- the census ---------------------------------------------------------------
@@ -433,7 +391,6 @@ class CensusEntry:
     label: str
     twisted_rep: str
     pi0: ComponentGroup
-    ctx: ArithmeticContext
 
     def to_dict(self) -> dict:
         return {
@@ -442,8 +399,8 @@ class CensusEntry:
             "rank_drop": self.unipotent.rank_drop,
             "regular": self.unipotent.regular,
             "distinguished": self.unipotent.distinguished,
-            "pi0": self.pi0.describe(),
-            "pi0_points": self.pi0.point_count(self.ctx.ell),
+            "pi0": self.pi0.name,
+            "pi0_points": self.pi0.group.order,
             "twisted_class": self.twisted_rep,
             "curated_note": self.pi0.curated_note,
         }
@@ -466,27 +423,17 @@ def census(datum: GroupDatum, ctx: ArithmeticContext) -> list[CensusEntry]:
     an r, in enumeration order (classes by partition, identity twisted class
     first within each class).  It runs A..Z, then AA..AZ, BA..ZZ, AAA...
 
-    Only ctx.ell is read (by component_group, pi_0.realize and pi0_points);
-    ctx.q reaches the payload only.  The twisted classes are those of the identity
-    twist on pi_0, so the entries are the same for every q.
+    Only ctx.ell is read (by component_group, which realizes pi_0 at it);
+    ctx.q reaches the payload only.  The twisted classes are those of the
+    identity twist on pi_0, so the entries are the same for every q.
     """
-    classes = unipotent_classes(datum)
-    staged: list[tuple[UnipotentClass, ComponentGroup, str]] = []
-    for cls in classes:
-        pi0 = component_group(datum, cls, ctx)
-        group = pi0.realize(ctx.ell)
-        twisted = twisted_class_count(group)
-        for rep in twisted.representatives:
-            staged.append((cls, pi0, rep))
-    per_rank: dict[int, int] = {}
-    for cls, _, _ in staged:
-        per_rank[cls.rank_drop] = per_rank.get(cls.rank_drop, 0) + 1
-    seen_rank: dict[int, int] = {}
     entries = []
-    for cls, pi0, rep in staged:
-        r = cls.rank_drop
-        idx = seen_rank.get(r, 0)
-        seen_rank[r] = idx + 1
-        label = f"C{r}" if per_rank[r] == 1 else f"C{r}{_letters(idx)}"
-        entries.append(CensusEntry(cls, label, rep, pi0, ctx))
+    for r, classes in itertools.groupby(unipotent_classes(datum), key=lambda c: c.rank_drop):
+        found = []
+        for cls in classes:
+            pi0 = component_group(datum, cls, ctx)
+            found += [(cls, pi0, rep) for rep in twisted_class_count(pi0.group).representatives]
+        for idx, (cls, pi0, rep) in enumerate(found):
+            label = f"C{r}" if len(found) == 1 else f"C{r}{_letters(idx)}"
+            entries.append(CensusEntry(cls, label, rep, pi0))
     return entries

@@ -201,7 +201,7 @@ def coverage_report(datum: GroupDatum, ctx: ArithmeticContext) -> list[CoverageV
     verdicts = []
     for entry in census(datum, ctx):
         cls = entry.unipotent
-        identity_rep = entry.twisted_rep == entry.pi0.realize(ctx.ell).identity
+        identity_rep = entry.twisted_rep == entry.pi0.group.identity
         levi = regular_levi(datum, cls.partition)
         if levi is not None and _reaches_twisted_class(datum, levi, identity_rep):
             verdicts.append(CoverageVerdict(entry, True, levi, "regular-in-Levi"))

@@ -388,9 +388,9 @@ class CountReport:
 def count_points(pres: RingPresentation, ell: int, k: int = 1,
                  budget: int | None = None) -> CountReport:
     """Count solutions of the presentation over F_{ell^k} by exhaustion."""
-    from .gf import FiniteField, poly_derivative, poly_gcd_degree
+    from .gf import get_field, poly_derivative, poly_gcd_degree
 
-    field = FiniteField(ell, k)
+    field = get_field(ell, k)
     order = field.order
     ranges = [range(1, order) if inv else range(order) for inv in pres.invertible]
     total = 1

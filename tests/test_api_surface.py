@@ -69,7 +69,8 @@ def test_dir_lists_every_exported_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         param_atlas.no_such_name
-    assert not hasattr(param_atlas, "expand_in_generators")
+    for removed in ("expand_in_generators", "trivial_group"):
+        assert not hasattr(param_atlas, removed), removed
 
 
 def test_census_submodule_does_not_shadow_the_census_function():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from param_atlas.census import (
-    ComponentGroup,
     UnipotentClass,
     census,
     component_group,
@@ -18,12 +17,11 @@ from param_atlas.census import (
     quaternion_group,
     symmetric_group_3,
     symplectic_partitions,
-    trivial_group,
     twisted_class_count,
     unipotent_classes,
 )
 from param_atlas.oracle import all_automorphisms
-from param_atlas.root_datum import ArithmeticContext, build_group
+from param_atlas.root_datum import ArithmeticContext, _gsp_datum, build_group
 
 
 def conjugacy_class_count(group) -> int:
@@ -172,7 +170,7 @@ def test_generators_greedy_in_label_order():
     assert len(_product(z2, z2, z2, z2).generators) == 4
     big = cyclic_group(500)
     assert [big.labels[a] for a in big.generators] == ["1"]
-    assert trivial_group().generators == ()
+    assert cyclic_group(1).generators == ()
 
 
 def test_generator_test_matches_all_pairs_on_every_bijection():
@@ -258,20 +256,26 @@ def test_component_group_gl_trivial():
     datum = build_group("GL", 4)
     ctx = ArithmeticContext(q=3, ell=5)
     for cls in unipotent_classes(datum):
-        assert component_group(datum, cls, ctx).describe() == "1"
+        pi0 = component_group(datum, cls, ctx)
+        assert (pi0.name, pi0.group.order, pi0.curated_note) == ("1", 1, None)
 
 
 def test_component_group_sl_mu_gcd():
     datum = build_group("SL", 4)
     ctx = ArithmeticContext(q=3, ell=5)
-    pi0 = component_group(datum, UnipotentClass("SL", 4, (4,)), ctx)
-    assert pi0.describe() == "mu_4"
-    assert pi0.point_count(5) == 4
-    assert pi0.point_count(2) == 1  # ell-part stripped
+    regular = UnipotentClass("SL", 4, (4,))
+    pi0 = component_group(datum, regular, ctx)
+    assert pi0.name == "mu_4"
+    assert pi0.group.order == 4
+    # the group is realized at the caller's ell: its ell-part is stripped
+    pi0 = component_group(datum, regular, ArithmeticContext(q=3, ell=2))
+    assert (pi0.name, pi0.group.order) == ("mu_4", 1)
+    pi0 = component_group(datum, regular, ArithmeticContext(q=3))
+    assert (pi0.name, pi0.group.order) == ("mu_4", 4)
     pi0 = component_group(datum, UnipotentClass("SL", 4, (2, 2)), ctx)
-    assert pi0.describe() == "mu_2"
+    assert pi0.name == "mu_2"
     pi0 = component_group(datum, UnipotentClass("SL", 4, (2, 1, 1)), ctx)
-    assert pi0.describe() == "mu_1"
+    assert pi0.name == "mu_1"
 
 
 def test_component_group_gsp4():
@@ -284,17 +288,31 @@ def test_component_group_gsp4():
         (4,): "1",
     }
     for cls in unipotent_classes(datum):
-        assert component_group(datum, cls, ctx).describe() == table[cls.partition]
+        pi0 = component_group(datum, cls, ctx)
+        assert pi0.name == table[cls.partition]
+        assert pi0.group.name == pi0.name
 
 
 def test_component_group_gsp6_curated():
     datum = build_group("GSp", 6)
     ctx = ArithmeticContext(q=3, ell=5)
     pi0 = component_group(datum, UnipotentClass("GSp", 6, (2, 2, 1, 1)), ctx)
-    assert pi0.describe() == "Z/2"
+    assert (pi0.name, pi0.group.order) == ("Z/2", 2)
     pi0 = component_group(datum, UnipotentClass("GSp", 6, (4, 2)), ctx)
-    assert pi0.describe() == "1"
+    assert (pi0.name, pi0.group.order) == ("1", 1)
     assert pi0.curated_note and "curated-uncertain" in pi0.curated_note
+
+
+def test_component_group_gsp_rank_counts_even_parts():
+    # (Z/2)^r with r = #distinct even parts, less 1 when one has odd multiplicity;
+    # past GSp_6 the preset guard is bypassed, since pi_0 reads only the partition
+    datum = _gsp_datum(12)
+    ctx = ArithmeticContext(q=3, ell=5)
+    table = {(6, 4, 2): "Z/2xZ/2", (4, 4, 2, 2): "Z/2xZ/2", (6, 6): "Z/2",
+             (4, 4, 2, 1, 1): "Z/2", (12,): "1", (3, 3, 3, 3): "1"}
+    for partition, name in table.items():
+        pi0 = component_group(datum, UnipotentClass("GSp", 12, partition), ctx)
+        assert (pi0.name, pi0.group.name, pi0.group.order) == (name, name, 2 ** name.count("Z/2"))
 
 
 def test_gsp_rejects_ell_2():
@@ -337,7 +355,7 @@ def test_census_gl_partition_count():
     for n in (1, 2, 3, 5):
         entries = census(build_group("GL", n), ArithmeticContext(q=4, ell=3))
         assert len(entries) == len(partitions(n))
-        assert all(e.pi0.describe() == "1" for e in entries)
+        assert all(e.pi0.name == "1" for e in entries)
 
 
 def test_census_label_letters_only_on_collision():

@@ -80,6 +80,15 @@ def test_oracle_avoidant_fail_verdict_is_schema_valid(capsys):
     assert payload["counterexample"]["failures"]
 
 
+def test_oracle_avoidant_gl1_torus_is_the_whole_group(capsys):
+    # GL_1 has no roots, so its torus Levi has U = 0 and nothing to separate
+    payload = run_json(capsys, "oracle", "avoidant", "--group", "gl1", "--q", "3",
+                       "--ell", "5")
+    assert payload["verdict"] == "pass"
+    assert payload["result"]["exponent"] == 1
+    assert payload["result"]["failures"] == []
+
+
 # -- json output and schema -------------------------------------------------------
 
 

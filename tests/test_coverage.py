@@ -172,7 +172,7 @@ def reference_verdicts(datum, ctx):
     out = []
     for entry in census(datum, ctx):
         cls = entry.unipotent
-        identity_rep = entry.twisted_rep == entry.pi0.realize(ctx.ell).identity
+        identity_rep = entry.twisted_rep == entry.pi0.group.identity
         regular = [x for x in levis if is_regular_in(cls, x)]
         witness = next(
             (x for x in regular if _reaches_twisted_class(datum, x, identity_rep)), None)

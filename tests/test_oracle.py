@@ -43,10 +43,6 @@ from param_atlas.oracle import (
 from param_atlas.root_datum import ArithmeticContext, build_group
 
 
-def conjugacy_class_count(group) -> int:
-    return twisted_class_count(group).count
-
-
 F5 = gf.FiniteField(5)
 F7 = gf.FiniteField(7)
 
@@ -265,10 +261,12 @@ def test_bruteforce_orbits_budget():
 
 
 def test_inner_twist_orbits_are_conjugacy_classes():
-    for g in (symmetric_group_3(), quaternion_group()):
-        orbits = twisted_class_count(g).count  # identity twist = conjugation
-        assert orbits == conjugacy_class_count(g)
-        assert twisted_orbits_bruteforce(g, inner_twist(g, g.labels[0])) == orbits
+    # a -> a h carries h-twisted classes onto conjugacy classes, so every inner
+    # twist gives the class number: 3 for S_3, 5 for Q_8
+    for g, classes in ((symmetric_group_3(), 3), (quaternion_group(), 5)):
+        assert twisted_class_count(g).count == classes
+        for h in g.labels:
+            assert twisted_orbits_bruteforce(g, inner_twist(g, h)) == classes, (g, h)
 
 
 def _orbits_union_find(group, images):
@@ -354,7 +352,7 @@ def test_census_twisted_counts_agree_with_bruteforce():
             key = entry.unipotent.partition
             per_class[key] = per_class.get(key, 0) + 1
         for cls in {e.unipotent for e in census(datum, ctx)}:
-            group = component_group(datum, cls, ctx).realize(ctx.ell)
+            group = component_group(datum, cls, ctx).group
             assert per_class[cls.partition] == twisted_orbits_bruteforce(group)
 
 
@@ -389,6 +387,16 @@ def test_avoidant_gl2_report_fields():
     assert report.avoidant
     assert report.exponent == 1
     assert report.failures == ()
+
+
+def test_avoidant_full_group_levi_has_nothing_to_separate():
+    # the Levi of every simple root is the whole group, so U = U^- = 0
+    for family, n, m in [("GL", 2, diag(F7, 2, 1)), ("GL", 2, diag(F7, 3, 3)),
+                         ("SL", 3, diag(F7, 2, 4, 1)), ("GSp", 4, diag(F7, 6, 2, 3, 1))]:
+        datum = build_group(family, n)
+        whole = next(x for x in standard_levis(datum) if len(x.subset) == len(datum.simple))
+        report = avoidant_check(F7, datum, whole, m, 3)
+        assert (report.avoidant, report.exponent, report.failures) == (True, 1, ()), family
 
 
 def test_avoidant_gsp4_split_shape_never_passes():
