@@ -20,7 +20,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .budget import BudgetExceededError, current_budget
+from .budget import BudgetExceededError, check_budget, current_budget
 from .root_datum import ArithmeticContext, GroupDatum, build_group
 
 if TYPE_CHECKING:
@@ -181,6 +181,8 @@ def cmd_oracle_twisted(args):
 
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
+    # the group table alone has order^2 entries
+    check_budget(args.order ** 2, "twisted orbit enumeration", args.budget)
     group = cyclic_group(args.order)
     twist = {a: group.inv(a) if args.twist == "inv" else a for a in group.labels}
     count = twisted_orbits_bruteforce(group, twist, args.budget)

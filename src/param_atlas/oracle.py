@@ -93,6 +93,30 @@ def is_commutant_solution(field: FiniteField, kind: str, sigma: Matrix, q: int,
     return lhs == rhs
 
 
+def _map_rows(field: FiniteField, plus, minus) -> list[list[int]]:
+    """Matrix of X -> sum L X R over plus, less the same sum over minus.
+
+    plus and minus list (L, R) pairs of n x n matrices.  Row i*n + j is entry
+    (i, j) of the image and column a*n + b is X[a][b], with coefficient
+    L[i][a] * R[b][j].
+    """
+    n = len(plus[0][0])
+    terms = [(left, right, field.add) for left, right in plus]
+    terms += [(left, right, field.sub) for left, right in minus]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = []
+            for a in range(n):
+                for b in range(n):
+                    c = 0
+                    for left, right, op in terms:
+                        c = op(c, field.mul(left[i][a], right[b][j]))
+                    row.append(c)
+            rows.append(row)
+    return rows
+
+
 def solve_commutant(field: FiniteField, kind: str, sigma: Matrix, q: int,
                     budget: Optional[int] = None) -> list[Matrix]:
     """All phi in the group with phi sigma phi^-1 = sigma^q, by kernel enumeration.
@@ -112,16 +136,8 @@ def solve_commutant(field: FiniteField, kind: str, sigma: Matrix, q: int,
     n = len(sigma)
     if not is_member(field, kind, sigma):
         raise ValueError("sigma is not a member of the group")
-    sq = gf.mat_pow(field, sigma, q)
-    rows = []
-    for i in range(n):
-        for jj in range(n):
-            row = [0] * (n * n)
-            for b in range(n):
-                row[i * n + b] = field.add(row[i * n + b], sigma[b][jj])
-            for a in range(n):
-                row[a * n + jj] = field.sub(row[a * n + jj], sq[i][a])
-            rows.append(row)
+    one = gf.mat_identity(n)
+    rows = _map_rows(field, [(one, sigma)], [(gf.mat_pow(field, sigma, q), one)])
     kernel = gf.nullspace(field, rows)
     required = field.order ** len(kernel)
     check_budget(required, "commutant kernel enumeration", budget)
@@ -189,59 +205,42 @@ def classify_twist(field: FiniteField, kind: str, sigma: Matrix, q: int,
     """Assign a component-group label to each solution.
 
     Detectors exist for the two classes where the presets have nontrivial
-    pi_0: the regular unipotent of SL_2 (scalar on ker(sigma - 1)) and the
-    rank-2 unipotent of GSp_4 (determinant sign on the quotient by
-    ker(sigma - 1), normalized by q/nu).
+    pi_0: the regular unipotent of SL_2 and the rank-2 unipotent of GSp_4.
+    Both read d = det(phi on K), K = ker(sigma - 1).  For SL_2 the label is
+    d itself, the scalar phi acts by on the line K.  For GSp_4, phi N = q N phi
+    with N = sigma - 1, and N maps V/K onto K, so the determinant on V/K
+    normalized by q/nu is d/(q nu): the label is its sign.
     """
     n = len(sigma)
     nmat = _sub_identity(field, sigma)
-    nsq = gf.mat_mul(field, nmat, nmat)
-    assignments = []
+    kernel = gf.nullspace(field, [list(r) for r in nmat])
+    unipotent = _is_zero(gf.mat_mul(field, nmat, nmat))
     if kind == "SL" and n == 2:
-        if _is_zero(nmat) or not _is_zero(nsq):
+        if len(kernel) != 1 or not unipotent:
             raise ValueError("detector needs a regular unipotent sigma")
-        v = gf.nullspace(field, [list(r) for r in nmat])[0]
-        anchor = next(i for i, x in enumerate(v) if x)
-        for phi in solutions:
-            if not is_commutant_solution(field, kind, sigma, q, phi):
-                raise ValueError("solution list contains a non-solution")
-            image = gf.mat_vec(field, phi, v)
-            a = field.mul(image[anchor], field.inv(v[anchor]))
-            if image != [field.mul(a, x) for x in v]:
-                raise ValueError("solution does not preserve ker(sigma - 1)")
-            assignments.append(str(a))
     elif kind == "GSp" and n == 4:
-        kernel = gf.nullspace(field, [list(r) for r in nmat])
-        if len(kernel) != 2 or not _is_zero(nsq):
+        if len(kernel) != 2 or not unipotent:
             raise ValueError("detector needs a unipotent sigma of type (2,2)")
-        cols = [list(k) for k in kernel]
-        complement = []
-        for e in range(4):
-            cand = [1 if i == e else 0 for i in range(4)]
-            rows = [[c[i] for c in cols + complement + [cand]] for i in range(4)]
-            if gf.mat_rank(field, rows) == len(cols + complement) + 1:
-                complement.append(cand)
-            if len(complement) == 2:
-                break
-        basis = tuple(zip(*(cols + complement)))  # 4x4, columns k1 k2 e_a e_b
-        binv = gf.mat_inverse(field, basis)
-        for phi in solutions:
-            if not is_commutant_solution(field, kind, sigma, q, phi):
-                raise ValueError("solution list contains a non-solution")
-            m = gf.mat_mul(field, gf.mat_mul(field, binv, phi), basis)
-            if any(m[a][b] != 0 for a in (2, 3) for b in (0, 1)):
-                raise ValueError("solution does not preserve ker(sigma - 1)")
-            quo_det = field.sub(field.mul(m[2][2], m[3][3]), field.mul(m[2][3], m[3][2]))
-            nu = similitude(field, phi)
-            val = field.mul(field.mul(quo_det, field.from_int(q)), field.inv(nu))
-            if val == field.from_int(1):
-                assignments.append("+1")
-            elif val == field.from_int(-1):
-                assignments.append("-1")
-            else:
-                raise ValueError("detector sign is not +-1; inconsistent solution")
     else:
         raise ValueError(f"no pi_0 detector for kind {kind!r} at size {n}")
+    assignments = []
+    for phi in solutions:
+        if not is_commutant_solution(field, kind, sigma, q, phi):
+            raise ValueError("solution list contains a non-solution")
+        coords = [solve(field, kernel, gf.mat_vec(field, phi, v)) for v in kernel]
+        if None in coords:
+            raise ValueError("solution does not preserve ker(sigma - 1)")
+        d = gf.mat_det(field, coords)
+        if kind == "SL":
+            assignments.append(str(d))
+            continue
+        q_nu = field.mul(field.from_int(q), similitude(field, phi))
+        if d == q_nu:
+            assignments.append("+1")
+        elif d == field.neg(q_nu):
+            assignments.append("-1")
+        else:
+            raise ValueError("detector sign is not +-1; inconsistent solution")
     labels = tuple(sorted(set(assignments)))
     return TwistReport(labels, tuple(assignments))
 
@@ -558,10 +557,13 @@ def jacobian_probe(field: FiniteField, kind: str, q: int, sigma: Matrix,
                    phi: Matrix) -> JacobianReport:
     """Exact Jacobian of the defining equations at a 2x2 sample (sigma, phi).
 
-    Reports the rank against the smooth-point expectation and whether the
-    invariant-coordinate map is submersive onto the tangent space of the fixed
-    ring at the image point.  Directional derivatives of sigma^q are computed
-    as sums sigma^a H sigma^(q-1-a); no numerics are involved.
+    The equations are phi sigma - sigma^q phi = 0, with det sigma = det phi = 1
+    for SL.  Both blocks of the commutation rows come from `_map_rows`: the
+    sigma block is X -> phi X - sum_a sigma^a X sigma^(q-1-a) phi, the phi
+    block is the commutant map of `solve_commutant`.  Reports the rank
+    against the smooth-point expectation and whether the characteristic
+    coordinates (trace, and det for GL) map the kernel onto the tangent space
+    of the fixed ring at the image point.  No numerics are involved.
     """
     if kind not in ("SL", "GL"):
         raise ValueError("jacobian probe supports SL and GL at size 2")
@@ -574,53 +576,20 @@ def jacobian_probe(field: FiniteField, kind: str, q: int, sigma: Matrix,
     powers = [gf.mat_identity(2)]
     for _ in range(q):
         powers.append(gf.mat_mul(field, powers[-1], sigma))
-    sq = powers[q]
-
-    def dpow(h: Matrix) -> Matrix:
-        acc = [[0, 0], [0, 0]]
-        for a in range(q):
-            term = gf.mat_mul(field, gf.mat_mul(field, powers[a], h), powers[q - 1 - a])
-            for i in range(2):
-                for j in range(2):
-                    acc[i][j] = field.add(acc[i][j], term[i][j])
-        return tuple(tuple(row) for row in acc)
-
-    directions = []
-    for block in range(2):
-        for a in range(2):
-            for b in range(2):
-                h = tuple(tuple(1 if (x, y) == (a, b) else 0 for y in range(2)) for x in range(2))
-                directions.append((block, h))
-    rows = [[0] * 8 for _ in range(4)]
-    for col, (block, h) in enumerate(directions):
-        if block == 0:  # sigma direction
-            d = gf.mat_mul(field, phi, h)
-            dq = gf.mat_mul(field, dpow(h), phi)
-            diff = tuple(
-                tuple(field.sub(d[i][j], dq[i][j]) for j in range(2)) for i in range(2)
-            )
-        else:  # phi direction
-            d = gf.mat_mul(field, h, sigma)
-            dq = gf.mat_mul(field, sq, h)
-            diff = tuple(
-                tuple(field.sub(d[i][j], dq[i][j]) for j in range(2)) for i in range(2)
-            )
-        for i in range(2):
-            for j in range(2):
-                rows[i * 2 + j][col] = diff[i][j]
+    one = powers[0]
+    sigma_block = _map_rows(field, [(phi, one)],
+                            [(powers[a], gf.mat_mul(field, powers[q - 1 - a], phi))
+                             for a in range(q)])
+    phi_block = _map_rows(field, [(one, sigma)], [(powers[q], one)])
+    rows = [s + p for s, p in zip(sigma_block, phi_block)]
+    # d det at m in direction E_ab is adj(m)[b][a]
     adj_sigma = _adjugate2(field, sigma)
-    adj_phi = _adjugate2(field, phi)
+    ddet_sigma = [adj_sigma[b][a] for a in range(2) for b in range(2)]
+    zeros = [0] * 4
     if kind == "SL":
-        det_sigma_row = [0] * 8
-        det_phi_row = [0] * 8
-        for col, (block, h) in enumerate(directions):
-            a, b = next((x, y) for x in range(2) for y in range(2) if h[x][y])
-            if block == 0:
-                det_sigma_row[col] = adj_sigma[b][a]
-            else:
-                det_phi_row[col] = adj_phi[b][a]
-        rows.append(det_sigma_row)
-        rows.append(det_phi_row)
+        adj_phi = _adjugate2(field, phi)
+        rows.append(ddet_sigma + zeros)
+        rows.append(zeros + [adj_phi[b][a] for a in range(2) for b in range(2)])
     rank = gf.mat_rank(field, rows)
     kernel = gf.nullspace(field, rows)
 
@@ -635,14 +604,10 @@ def jacobian_probe(field: FiniteField, kind: str, q: int, sigma: Matrix,
     ]
     tangent = gf.nullspace(field, pres_rows)
 
-    dch = [[0] * 8 for _ in range(len(point))]
-    for col, (block, h) in enumerate(directions):
-        if block != 0:
-            continue
-        a, b = next((x, y) for x in range(2) for y in range(2) if h[x][y])
-        dch[0][col] = 1 if a == b else 0
-        if kind == "GL":
-            dch[1][col] = adj_sigma[b][a]
+    # the characteristic coordinates (trace, det) move with sigma only
+    dch = [[1 if a == b else 0 for a in range(2) for b in range(2)] + zeros]
+    if kind == "GL":
+        dch.append(ddet_sigma + zeros)
     images = [gf.mat_vec(field, dch, v) for v in kernel]
     image_rank = gf.mat_rank(field, images) if images else 0
     combined = gf.mat_rank(field, images + tangent) if (images or tangent) else 0
@@ -687,9 +652,11 @@ def eval_identity_trials(datum: GroupDatum, q: int, field: FiniteField, trials: 
 # -- seeded sample constructors ------------------------------------------------
 
 
-def random_group_element(field: FiniteField, kind: str, rng: random.Random,
-                         attempts: int = 500) -> Matrix:
-    for _ in range(attempts):
+_SAMPLE_ATTEMPTS = 500
+
+
+def random_group_element(field: FiniteField, kind: str, rng: random.Random) -> Matrix:
+    for _ in range(_SAMPLE_ATTEMPTS):
         if kind == "SL":
             a = rng.randrange(field.order)
             b = rng.randrange(field.order)
@@ -714,19 +681,17 @@ def random_regular_element(field: FiniteField, kind: str, rng: random.Random) ->
 
 
 def random_torus_element(field: FiniteField, datum: GroupDatum, rng: random.Random) -> Matrix:
-    """Random diagonal group element (nonzero encodings are exactly the units)."""
+    """Random diagonal group element (nonzero encodings are exactly the units).
+
+    One unit per torus coordinate; entry a is the character of coordinate a
+    (`_entry_weight`) evaluated at those units.
+    """
     n = datum.n
-    if datum.family in ("GL", "U"):
-        d = [rng.randrange(1, field.order) for _ in range(n)]
-    elif datum.family == "SL":
-        d = [rng.randrange(1, field.order) for _ in range(n - 1)]
-        prod = 1
-        for x in d:
-            prod = field.mul(prod, x)
-        d.append(field.inv(prod))
-    else:
-        m = n // 2
-        t = [rng.randrange(1, field.order) for _ in range(m)]
-        nu = rng.randrange(1, field.order)
-        d = t + [field.mul(nu, field.inv(x)) for x in reversed(t)]
+    units = [rng.randrange(1, field.order) for _ in range(datum.torus_rank)]
+    d = []
+    for a in range(n):
+        value = 1
+        for u, w in zip(units, _entry_weight(datum, a)):
+            value = field.mul(value, field.pow(u, w))
+        d.append(value)
     return tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n))

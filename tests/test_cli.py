@@ -212,6 +212,8 @@ def test_extension_field_json_bytes_pinned(capsys, command):
 SUBCOMMAND_DIGESTS = {
     "census --group u4 --q 4 --ell 3":
         "7cac98ce4c0eb10272ea820f45af7b31b2fd0f4b0e18dd4d09406b78a8ac3d38",
+    "oracle classify --group sl2 --q 4 --ell 5 --seed 1":
+        "8798cd5f88635870118a31670edd385c97ff54b22f6a349c6844c0a6d7bb655e",
     "oracle commutant --group sl2 --q 4 --ell 5 --seed 1":
         "fcf47abff7146822011e4d55b95213083b0525338476d38ccfeb90da609ef44c",
     "oracle identities --group gsp4 --q 3 --ell 7 --trials 5 --seed 1":
@@ -373,6 +375,19 @@ def test_exit_code_budget(capsys):
     assert code == 3
     assert "budget" in err.lower()
     assert "--budget" in err  # message says how to raise it
+
+
+def test_twisted_budget_precedes_the_group_table(capsys, monkeypatch):
+    census_module = importlib.import_module("param_atlas.census")
+
+    def built(order):
+        raise AssertionError("the group was built before the budget check")
+
+    monkeypatch.setattr(census_module, "cyclic_group", built)
+    code, out, err = run(capsys, "oracle", "twisted", "--order", "4000")
+    assert code == 3
+    assert out == ""
+    assert "twisted orbit enumeration needs 16000000 candidates" in err
 
 
 def test_exit_code_negative_budget_flag(capsys):

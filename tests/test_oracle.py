@@ -21,6 +21,7 @@ from param_atlas.census import (
 )
 from param_atlas.coverage import standard_levis
 from param_atlas.oracle import (
+    _map_rows,
     all_automorphisms,
     avoidant_check,
     centralizer_order,
@@ -137,6 +138,30 @@ def test_torsor_property_random_sample():
             assert len(solve_commutant(F5, "SL", sigma, q)) in (0, cent)
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
+def test_map_rows_is_the_map_on_vec_x(p, k):
+    # odd characteristic, so a plus/minus slip changes the result
+    field = gf.FiniteField(p, k)
+    rng = random.Random(p * 10 + k)
+
+    def mat(n):
+        return [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)]
+
+    for n in (1, 2, 3, 4):
+        for n_plus, n_minus in ((1, 0), (1, 1), (2, 3)):
+            plus = [(mat(n), mat(n)) for _ in range(n_plus)]
+            minus = [(mat(n), mat(n)) for _ in range(n_minus)]
+            x = mat(n)
+            image = [[0] * n for _ in range(n)]
+            for pairs, op in ((plus, field.add), (minus, field.sub)):
+                for left, right in pairs:
+                    term = gf.mat_mul(field, gf.mat_mul(field, left, x), right)
+                    image = [list(map(op, r, t)) for r, t in zip(image, term)]
+            rows = _map_rows(field, plus, minus)
+            assert gf.mat_vec(field, rows, [e for r in x for e in r]) == \
+                [e for r in image for e in r]
+
+
 def test_solve_commutant_budget_precedes_the_multiples_table(monkeypatch):
     field = gf.FiniteField(2, 8)
 
@@ -209,12 +234,15 @@ def test_centralizer_order_closed_forms(p, k):
 
 
 def test_classify_sl2_unipotent_two_balanced_labels():
+    # a label is the scalar phi acts by on ker(sigma - 1), a square root of q;
+    # over F_7 the inverses 5 and 2 would be other labels
     sigma = ((1, 1), (0, 1))
-    sols = solve_commutant(F5, "SL", sigma, 4)
-    assert len(sols) == 10
-    report = classify_twist(F5, "SL", sigma, 4, sols)
-    assert report.labels == ("2", "3")
-    assert report.counts() == {"2": 5, "3": 5}
+    for field, q, counts in ((F5, 4, {"2": 5, "3": 5}), (F7, 2, {"3": 7, "4": 7})):
+        sols = solve_commutant(field, "SL", sigma, q)
+        assert len(sols) == 2 * field.order
+        report = classify_twist(field, "SL", sigma, q, sols)
+        assert report.labels == tuple(counts)
+        assert report.counts() == counts
 
 
 def test_classify_sl2_empty_solution_sets():
@@ -233,6 +261,15 @@ def test_classify_gsp4_signs():
     report = classify_twist(F7, "GSp", u, q, [split, swapping])
     assert report.assignments == ("+1", "-1")
     assert report.labels == ("+1", "-1")
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 8])
+def test_classify_gsp4_labels_every_solution(q):
+    field = gf.FiniteField(3)
+    u = int_matrix(field, UNIPOTENT_22)
+    sols = solve_commutant(field, "GSp", u, q)
+    assert len(sols) == 216
+    assert classify_twist(field, "GSp", u, q, sols).counts() == {"+1": 108, "-1": 108}
 
 
 def test_classify_rejects_bad_inputs():
