@@ -30,10 +30,10 @@ _EXPORTS = {
                        "fundamental_invariants orbit_sum rewrite_in_generators",
     "laurent": "LaurentPolynomial",
     "oracle": "AvoidantReport IdentityReport JacobianReport TwistReport all_automorphisms "
-              "avoidant_check classify_twist eval_identity_trials inner_twist "
+              "avoidant_check classify_twist eval_identity_trials "
               "is_commutant_solution jacobian_probe solve_commutant twisted_orbits_bruteforce",
     "root_datum": "ArithmeticContext GroupDatum UnsupportedPresetError build_group "
-                  "prime_power_base weyl_order",
+                  "prime_power_base",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

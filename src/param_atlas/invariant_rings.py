@@ -87,42 +87,36 @@ def non_invariance_witness(datum: GroupDatum, f: LaurentPolynomial) -> int | Non
     return None
 
 
-def _staircase_weight(datum: GroupDatum, k: int) -> Vec:
-    # e_1 + ... + e_k in the ambient coordinates of each preset
-    r = datum.torus_rank
-    return tuple(1 if i < k else 0 for i in range(r))
-
-
 @lru_cache(maxsize=None)
 def fundamental_invariants(datum: GroupDatum) -> GeneratorSet:
     fam = datum.family
+    # staircase weights w_0 + ... + w_(k-1), that is e_1 + ... + e_k in every preset
+    partial = list(itertools.accumulate(datum.weights, lambda u, v: tuple(map(add, u, v))))
     if fam in ("GL", "U"):
         n = datum.n
         names = ("x",) if (fam == "GL" and n == 1) else tuple(f"e{k}" for k in range(1, n + 1))
-        weights = [_staircase_weight(datum, k) for k in range(1, n + 1)]
-        polys = tuple(orbit_sum(datum, w) for w in weights)
+        weights = partial
         invertible = tuple(k == n for k in range(1, n + 1))
         staircase = tuple(range(n - 1))
         sim = None
     elif fam == "SL":
         n = datum.n
         names = ("c",) if n == 2 else tuple(f"c{k}" for k in range(1, n))
-        weights = [_staircase_weight(datum, k) for k in range(1, n)]
-        polys = tuple(orbit_sum(datum, w) for w in weights)
+        weights = partial[:n - 1]
         invertible = tuple(False for _ in weights)
         staircase = tuple(range(n - 1))
         sim = None
     elif fam == "GSp":
         m = datum.n // 2
         names = tuple(f"o{k}" for k in range(1, m + 1)) + ("nu",)
-        weights = [_staircase_weight(datum, k) for k in range(1, m + 1)]
-        weights.append(tuple(1 if i == m else 0 for i in range(m + 1)))
-        polys = tuple(orbit_sum(datum, w) for w in weights)
+        # the similitude nu is w_0 + w_(n-1)
+        weights = partial[:m] + [tuple(map(add, datum.weights[0], datum.weights[-1]))]
         invertible = tuple([False] * m + [True])
         staircase = tuple(range(m))
         sim = m
     else:  # pragma: no cover - presets are closed
         raise ValueError(f"no generator table for family {fam}")
+    polys = tuple(orbit_sum(datum, w) for w in weights)
     for g in polys:
         assert non_invariance_witness(datum, g) is None
     leading = tuple(dominant_representative(datum, w) for w in weights)

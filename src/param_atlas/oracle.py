@@ -275,11 +275,6 @@ def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str,
     return count
 
 
-def inner_twist(group: ExplicitGroup, g: str) -> dict[str, str]:
-    ginv = group.inv(g)
-    return {a: group.mul(group.mul(g, a), ginv) for a in group.labels}
-
-
 def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
     """Every automorphism, by extending order-compatible generator images."""
     table = group.table
@@ -316,45 +311,18 @@ def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
 # -- concrete Lie algebras and the avoidance predicate ------------------------
 
 
-def _entry_weight(datum: GroupDatum, a: int) -> tuple[int, ...]:
-    """Torus weight of the a-th standard coordinate, in lattice coordinates."""
-    r = datum.torus_rank
-    if datum.family in ("GL", "U"):
-        return tuple(1 if i == a else 0 for i in range(r))
-    if datum.family == "SL":
-        if a < r:
-            return tuple(1 if i == a else 0 for i in range(r))
-        return tuple(-1 for _ in range(r))
-    m = datum.n // 2
-    if a < m:
-        return tuple(1 if i == a else 0 for i in range(r))
-    mirror = 2 * m - 1 - a
-    return tuple((1 if i == m else 0) + (-1 if i == mirror else 0) for i in range(r))
-
-
-def _vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
 @lru_cache(maxsize=None)
 def lie_root_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Integer root-space matrices, aligned with datum.roots.
 
     GL/SL/U use gl_n entry matrices.  For GSp the one-dimensional root space
     inside the symplectic Lie algebra is solved from X^T J + J X = 0 on the
-    entries sharing the root's torus weight.
+    root's spots, the entries (a, b) with w_a - w_b = alpha.
     """
     n = datum.n
-    weights = [_entry_weight(datum, a) for a in range(n)]
     j = _antidiagonal_form(n) if datum.family == "GSp" else None
     out = []
-    for alpha in datum.roots:
-        spots = [
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and _vec_sub(weights[a], weights[b]) == alpha
-        ]
+    for spots in datum.spots.values():
         if j is None:
             if len(spots) != 1:
                 raise RuntimeError("root weight is not a single gl entry")  # pragma: no cover
@@ -380,23 +348,12 @@ def lie_root_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], .
 
 @lru_cache(maxsize=None)
 def lie_torus_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The Cartan of Lie(G): diag(w_0[k], ..., w_(n-1)[k]) for each lattice coordinate k."""
     n = datum.n
-    if datum.family in ("GL", "SL", "U"):
-        # gl_n Cartan; for SL the central directions only add (x - 1) factors
-        # to the characteristic polynomials, which the base conditions absorb
-        return tuple(
-            tuple(tuple(1 if x == y == i else 0 for y in range(n)) for x in range(n))
-            for i in range(n)
-        )
-    m = n // 2
-    mats = []
-    for i in range(m):
-        d = [0] * n
-        d[i] = 1
-        d[n - 1 - i] = -1
-        mats.append(tuple(tuple(d[x] if x == y else 0 for y in range(n)) for x in range(n)))
-    mats.append(tuple(tuple(1 if x == y else 0 for y in range(n)) for x in range(n)))
-    return tuple(mats)
+    return tuple(
+        tuple(tuple(datum.weights[x][k] if x == y else 0 for y in range(n)) for x in range(n))
+        for k in range(datum.torus_rank)
+    )
 
 
 def _simple_coefficients(datum: GroupDatum, alpha) -> list[Fraction]:
@@ -565,6 +522,8 @@ def jacobian_probe(field: FiniteField, kind: str, q: int, sigma: Matrix,
     coordinates (trace, and det for GL) map the kernel onto the tangent space
     of the fixed ring at the image point.  No numerics are involved.
     """
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"q must be an integer >= 2, got {q}")
     if kind not in ("SL", "GL"):
         raise ValueError("jacobian probe supports SL and GL at size 2")
     if len(sigma) != 2:
@@ -683,15 +642,15 @@ def random_regular_element(field: FiniteField, kind: str, rng: random.Random) ->
 def random_torus_element(field: FiniteField, datum: GroupDatum, rng: random.Random) -> Matrix:
     """Random diagonal group element (nonzero encodings are exactly the units).
 
-    One unit per torus coordinate; entry a is the character of coordinate a
-    (`_entry_weight`) evaluated at those units.
+    One unit per torus coordinate; entry a is the weight of coordinate a
+    (`datum.weights[a]`) evaluated at those units.
     """
     n = datum.n
     units = [rng.randrange(1, field.order) for _ in range(datum.torus_rank)]
     d = []
     for a in range(n):
         value = 1
-        for u, w in zip(units, _entry_weight(datum, a)):
+        for u, w in zip(units, datum.weights[a]):
             value = field.mul(value, field.pow(u, w))
         d.append(value)
     return tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n))

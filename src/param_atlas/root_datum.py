@@ -1,15 +1,20 @@
 """Root data for the preset reductive groups, with Weyl groups as lattice automorphisms.
 
-Character lattices are dense integer tuples in a fixed basis of diagonal-torus
-characters:
+A preset is the torus weight w_a of each coordinate a of its standard
+representation, written in a fixed basis of diagonal-torus characters
+(`_coordinate_weights`, the one table of per-family coordinates):
 
-* GL_n / U_n : Z^n with basis e_1..e_n (diagonal entries).
-* SL_n      : Z^(n-1), basis the images of e_1..e_(n-1); the image of e_n is
-              -(e_1+...+e_(n-1)).  The cocharacter basis f_i = e_i* - e_n* is
-              dual to it, so the pairing is the standard dot product.
-* GSp_2m    : Z^(m+1) with basis e_1..e_m, nu for the torus
-              diag(t_1..t_m, nu/t_m .. nu/t_1); nu is the similitude character
-              and is always the last coordinate.
+* GL_n / U_n : Z^n; w_a = e_a.
+* SL_n      : Z^(n-1); w_a = e_a for a < n-1 and w_(n-1) = -(e_1+...+e_(n-1)).
+* GSp_2m    : Z^(m+1) for the torus diag(t_1..t_m, nu/t_m .. nu/t_1); w_a = e_a
+              for a < m and w_a = nu - e_(2m-1-a) for a >= m, with the
+              similitude character nu always the last coordinate.
+
+Everything else is derived from the weights, on first use.  The roots are the
+distinct w_a - w_b (a != b) in first-seen (a, b) order, and the spots of alpha
+are its pairs (a, b).  The simple roots are the distinct w_i - w_(i+1).  The
+coroot of alpha is the sum of E_aa - E_bb over its spots, as a cocharacter:
+its pairing with w_a is its a-th diagonal entry.
 
 The twisted presets carry a finite group Gamma acting through `frobenius_dual`;
 only Gamma of order 1 or 2 occurs (U_n uses the reversal-negation involution
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
+from operator import sub
 
 from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_mul, mat_vec, solve
 
@@ -30,20 +36,68 @@ SUPPORTED_PRESETS = "GL_n (n>=1), SL_n (n>=2), GSp_4, GSp_6, U_n (n>=2)"
 
 @dataclass(frozen=True)
 class GroupDatum:
-    """Root datum of a preset group, plus the dual Frobenius action."""
+    """Root datum of a preset group, read off its coordinate weights, plus the dual Frobenius action.
+
+    The roots, coroots and simple roots are derived from the weights on first
+    use and then kept on the datum; equality and hashing see the fields only.
+    """
 
     family: str                 # "GL" | "SL" | "GSp" | "U"
     n: int                      # preset size parameter (matrix size)
-    torus_rank: int
-    roots: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]    # aligned with roots
-    simple: tuple[int, ...]     # indices into roots
+    weights: tuple[Vec, ...]    # torus weight of each standard coordinate
     gamma_order: int
     frobenius_dual: Mat
 
     @property
     def name(self) -> str:
         return f"{self.family}{self.n}"
+
+    @property
+    def torus_rank(self) -> int:
+        return len(self.weights[0])
+
+    @cached_property
+    def spots(self) -> dict[Vec, tuple[tuple[int, int], ...]]:
+        """Each root w_a - w_b, in first-seen (a, b) order, with all its pairs (a, b)."""
+        pairs: dict[Vec, list[tuple[int, int]]] = {}
+        for a, wa in enumerate(self.weights):
+            for b, wb in enumerate(self.weights):
+                if a != b:
+                    pairs.setdefault(tuple(map(sub, wa, wb)), []).append((a, b))
+        return {alpha: tuple(p) for alpha, p in pairs.items()}
+
+    @cached_property
+    def roots(self) -> tuple[Vec, ...]:
+        return tuple(self.spots)
+
+    @cached_property
+    def coroots(self) -> tuple[Vec, ...]:
+        """Aligned with roots: the sum of E_aa - E_bb over the root's spots, as a cocharacter."""
+        rank = self.torus_rank
+        # The first `rank` weight rows are unit lower triangular, so the
+        # cocharacter x with <w_a, x> = h_a on those rows comes by forward
+        # substitution.
+        below = [(a, [(k, c) for k, c in enumerate(w[:a]) if c])
+                 for a, w in enumerate(self.weights[:rank]) if any(w[:a])]
+        out = []
+        for pairs in self.spots.values():
+            h = [0] * rank
+            for a, b in pairs:
+                if a < rank:
+                    h[a] += 1
+                if b < rank:
+                    h[b] -= 1
+            for a, row in below:
+                h[a] -= sum(c * h[k] for k, c in row)
+            out.append(tuple(h))
+        return tuple(out)
+
+    @cached_property
+    def simple(self) -> tuple[int, ...]:
+        """Indices into roots of the distinct w_i - w_(i+1), in order."""
+        index = {alpha: i for i, alpha in enumerate(self.spots)}
+        w = self.weights
+        return tuple(dict.fromkeys(index[tuple(map(sub, u, v))] for u, v in zip(w, w[1:])))
 
     @property
     def simple_roots(self) -> tuple[Vec, ...]:
@@ -106,97 +160,32 @@ class ArithmeticContext:
                 raise ValueError(f"ell must not divide q (q = {self.q}, ell = {self.ell})")
 
 
-def _gl_datum(family: str, n: int, gamma_order: int, frobenius: Mat) -> GroupDatum:
-    roots, coroots, simple = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            root = tuple(1 if k == i else -1 if k == j else 0 for k in range(n))
-            roots.append(root)
-            coroots.append(root)
-            if j == i + 1:
-                simple.append(len(roots) - 1)
-    return GroupDatum(family, n, n, tuple(roots), tuple(coroots), tuple(simple),
-                      gamma_order, frobenius)
-
-
-def _sl_datum(n: int) -> GroupDatum:
-    r = n - 1
-
-    def ebar(k: int) -> Vec:
-        if k < r:
-            return tuple(1 if j == k else 0 for j in range(r))
-        return tuple(-1 for _ in range(r))
-
-    def fstar(i: int, j: int) -> Vec:
-        # e_i* - e_j* in the basis f_k = e_k* - e_n*
-        out = [0] * r
-        if i < r:
-            out[i] += 1
-        if j < r:
-            out[j] -= 1
-        return tuple(out)
-
-    roots, coroots, simple = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            roots.append(tuple(a - b for a, b in zip(ebar(i), ebar(j))))
-            coroots.append(fstar(i, j))
-            if j == i + 1:
-                simple.append(len(roots) - 1)
-    return GroupDatum("SL", n, r, tuple(roots), tuple(coroots), tuple(simple),
-                      1, mat_id(r))
-
-
-def _gsp_datum(n: int) -> GroupDatum:
+def _coordinate_weights(family: str, n: int) -> tuple[Vec, ...]:
+    """Torus weight of each standard coordinate, in lattice coordinates."""
+    if family in ("GL", "U"):
+        return mat_id(n)
+    if family == "SL":
+        return mat_id(n - 1) + ((-1,) * (n - 1),)
     m = n // 2
-    rank = m + 1
+    e = mat_id(m + 1)
+    return e[:m] + tuple(tuple(map(sub, e[m], e[n - 1 - a])) for a in range(m, n))
 
-    def vec(coeffs: dict[int, int]) -> Vec:
-        return tuple(coeffs.get(k, 0) for k in range(rank))
 
-    roots, coroots, simple = [], [], []
-
-    def add(root: Vec, coroot: Vec) -> None:
-        roots.append(root)
-        coroots.append(coroot)
-
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            add(vec({i: 1, j: -1}), vec({i: 1, j: -1}))
-            if j == i + 1:
-                simple.append(len(roots) - 1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            add(vec({i: 1, j: 1, m: -1}), vec({i: 1, j: 1}))
-            add(vec({i: -1, j: -1, m: 1}), vec({i: -1, j: -1}))
-    for i in range(m):
-        add(vec({i: 2, m: -1}), vec({i: 1}))
-        if i == m - 1:
-            simple.append(len(roots) - 1)
-        add(vec({i: -2, m: 1}), vec({i: -1}))
-    return GroupDatum("GSp", n, rank, tuple(roots), tuple(coroots), tuple(simple),
-                      1, mat_id(rank))
+def _datum(family: str, n: int) -> GroupDatum:
+    """The root datum of a preset at any size."""
+    weights = _coordinate_weights(family, n)
+    if family == "U":
+        reversal = tuple(tuple(-1 if i == n - 1 - j else 0 for j in range(n)) for i in range(n))
+        return GroupDatum(family, n, weights, 2, reversal)
+    return GroupDatum(family, n, weights, 1, mat_id(len(weights[0])))
 
 
 def build_group(family: str, n: int) -> GroupDatum:
     """Construct a preset root datum; rejects anything outside the preset list."""
     fam = family.upper().replace("GSP", "GSp")
-    if fam == "GL" and n >= 1:
-        return _gl_datum("GL", n, 1, mat_id(n))
-    if fam == "SL" and n >= 2:
-        return _sl_datum(n)
-    if fam == "GSp" and n in (4, 6):
-        return _gsp_datum(n)
-    if fam == "U" and n >= 2:
-        frob = tuple(tuple(-1 if i == n - 1 - j else 0 for j in range(n))
-                     for i in range(n))
-        return _gl_datum("U", n, 2, frob)
+    if ((fam == "GL" and n >= 1) or (fam in ("SL", "U") and n >= 2)
+            or (fam == "GSp" and n in (4, 6))):
+        return _datum(fam, n)
     raise UnsupportedPresetError(
         f"unsupported preset {family}_{n}; supported: {SUPPORTED_PRESETS}")
 
@@ -210,13 +199,6 @@ def reflection_matrix(datum: GroupDatum, root_index: int) -> Mat:
         tuple((1 if i == j else 0) - covee[j] * alpha[i] for j in range(r))
         for i in range(r)
     )
-
-
-def weyl_order(datum: GroupDatum) -> int:
-    if datum.family in ("GL", "SL", "U"):
-        return math.factorial(datum.n)
-    m = datum.n // 2
-    return (2 ** m) * math.factorial(m)
 
 
 def orbit_of_weight(datum: GroupDatum, weight: Vec) -> tuple[Vec, ...]:

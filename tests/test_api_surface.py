@@ -69,7 +69,7 @@ def test_dir_lists_every_exported_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         param_atlas.no_such_name
-    for removed in ("expand_in_generators", "trivial_group"):
+    for removed in ("expand_in_generators", "trivial_group", "weyl_order", "inner_twist"):
         assert not hasattr(param_atlas, removed), removed
 
 

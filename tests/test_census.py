@@ -21,7 +21,7 @@ from param_atlas.census import (
     unipotent_classes,
 )
 from param_atlas.oracle import all_automorphisms
-from param_atlas.root_datum import ArithmeticContext, _gsp_datum, build_group
+from param_atlas.root_datum import ArithmeticContext, _datum, build_group
 
 
 def conjugacy_class_count(group) -> int:
@@ -306,7 +306,7 @@ def test_component_group_gsp6_curated():
 def test_component_group_gsp_rank_counts_even_parts():
     # (Z/2)^r with r = #distinct even parts, less 1 when one has odd multiplicity;
     # past GSp_6 the preset guard is bypassed, since pi_0 reads only the partition
-    datum = _gsp_datum(12)
+    datum = _datum("GSp", 12)
     ctx = ArithmeticContext(q=3, ell=5)
     table = {(6, 4, 2): "Z/2xZ/2", (4, 4, 2, 2): "Z/2xZ/2", (6, 6): "Z/2",
              (4, 4, 2, 1, 1): "Z/2", (12,): "1", (3, 3, 3, 3): "1"}

@@ -9,6 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from param_atlas import gf
+from param_atlas._linalg import QQ, mat_rank
 from param_atlas.budget import BudgetExceededError
 from param_atlas.census import (
     census,
@@ -27,12 +28,12 @@ from param_atlas.oracle import (
     centralizer_order,
     classify_twist,
     eval_identity_trials,
-    inner_twist,
     int_matrix,
     is_commutant_solution,
     is_member,
     jacobian_probe,
     lie_root_matrices,
+    lie_torus_matrices,
     random_group_element,
     random_regular_element,
     random_torus_element,
@@ -297,6 +298,12 @@ def test_bruteforce_orbits_budget():
         twisted_orbits_bruteforce(cyclic_group(12), budget=100)
 
 
+def inner_twist(group, g):
+    """The automorphism a -> g a g^-1, as a label map."""
+    ginv = group.inv(g)
+    return {a: group.mul(group.mul(g, a), ginv) for a in group.labels}
+
+
 def test_inner_twist_orbits_are_conjugacy_classes():
     # a -> a h carries h-twisted classes onto conjugacy classes, so every inner
     # twist gives the class number: 3 for S_3, 5 for Q_8
@@ -487,6 +494,53 @@ def test_lie_root_matrices_are_distinct_primitive_and_symplectic(family, n):
             assert all(F7.add(u, v) == 0 for lr, rr in zip(left, right) for u, v in zip(lr, rr))
 
 
+# Every preset of torus rank <= 6, as (family, n, is_member kind).
+SMALL_PRESETS = ([("GL", n, "GL") for n in range(1, 7)] + [("SL", n, "SL") for n in range(2, 8)]
+                 + [("U", n, "GL") for n in range(2, 7)] + [("GSp", 4, "GSp"), ("GSp", 6, "GSp")])
+
+
+@pytest.mark.parametrize("family,n,kind", SMALL_PRESETS)
+def test_torus_point_scales_each_root_matrix_by_its_character(family, n, kind):
+    # m X m^-1 = alpha(m) X for the root matrix X of alpha, where alpha(m) is the
+    # product of the drawn units u_k^alpha_k; so alpha(m) = m_aa / m_bb at every
+    # non-zero entry (a, b) of X
+    datum = build_group(family, n)
+    for field in (F7, gf.get_field(2, 3)):
+        for seed in range(3):
+            m = random_torus_element(field, datum, random.Random(seed))
+            rng = random.Random(seed)
+            units = [rng.randrange(1, field.order) for _ in range(datum.torus_rank)]
+            assert is_member(field, kind, m)
+            m_inv = gf.mat_inverse(field, m)
+            for alpha, x in zip(datum.roots, lie_root_matrices(datum)):
+                value = 1
+                for u, k in zip(units, alpha):
+                    value = field.mul(value, field.pow(u, k))
+                xf = int_matrix(field, x)
+                moved = gf.mat_mul(field, gf.mat_mul(field, m, xf), m_inv)
+                assert moved == [[field.mul(value, y) for y in row] for row in xf]
+                for a in range(n):
+                    for b in range(n):
+                        if x[a][b]:
+                            assert field.mul(m[a][a], field.inv(m[b][b])) == value
+
+
+@pytest.mark.parametrize("family,n,kind", SMALL_PRESETS)
+def test_lie_torus_matrices_span_the_cartan_of_the_group(family, n, kind):
+    datum = build_group(family, n)
+    mats = lie_torus_matrices(datum)
+    assert len(mats) == datum.torus_rank
+    assert all(x[a][b] == 0 for x in mats for a in range(n) for b in range(n) if a != b)
+    assert mat_rank(QQ, [[y for row in x for y in row] for x in mats]) == datum.torus_rank
+    for x in mats:
+        d = [x[a][a] for a in range(n)]
+        if family == "SL":
+            assert sum(d) == 0
+        if family == "GSp":
+            # X^T J + J X = c J for diagonal X: d_a + d_(n-1-a) is one c for every a
+            assert len({d[a] + d[n - 1 - a] for a in range(n)}) == 1
+
+
 # -- jacobian probe -------------------------------------------------------------
 
 
@@ -508,6 +562,16 @@ def test_jacobian_all_solutions_at_one_point():
     sigma = ((1, 1), (0, 1))
     for phi in solve_commutant(F5, "SL", sigma, 4):
         assert jacobian_probe(F5, "SL", 4, sigma, phi).ok
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_jacobian_rejects_q_below_two_before_any_matrix_work(q, monkeypatch):
+    def fail(*args):
+        raise AssertionError("nullspace reached")
+
+    monkeypatch.setattr(gf, "nullspace", fail)
+    with pytest.raises(ValueError, match=f"^q must be an integer >= 2, got {q}$"):
+        jacobian_probe(F5, "SL", q, ((1, 1), (0, 1)), ((1, 0), (0, 1)))
 
 
 def test_jacobian_rejects_bad_samples():
