@@ -18,6 +18,7 @@ from param_atlas import build_group, get_field
 from param_atlas.coverage import standard_levis
 from param_atlas.oracle import (
     avoidant_check,
+    centralizer_order,
     classify_twist,
     int_matrix,
     jacobian_probe,
@@ -31,9 +32,9 @@ def main() -> None:
     f25 = get_field(5, 2)
     u = int_matrix(f25, [[1, 1], [0, 1]])
     sols = solve_commutant(f25, "SL", u, 7)
-    cent = solve_commutant(f25, "SL", u, 1)
+    cent = centralizer_order(f25, "SL", u)
     print(f"SL2(F_25), unipotent sigma, q=7: {len(sols)} solutions, "
-          f"centralizer {len(cent)}")
+          f"centralizer {cent}")
 
     # 2. the GSp_4 detector: diagonal solution vs antidiagonal solution
     f11 = get_field(11)

@@ -201,7 +201,7 @@ def cmd_oracle_twisted(args):
 def cmd_oracle_commutant(args):
     import random
 
-    from .oracle import random_regular_element, solve_commutant
+    from .oracle import centralizer_order, random_regular_element, solve_commutant
 
     datum = parse_preset(args.group)
     if datum.family not in ("SL", "GL") or datum.n != 2:
@@ -210,15 +210,15 @@ def cmd_oracle_commutant(args):
     rng = random.Random(args.seed)
     sigma = random_regular_element(field, datum.family, rng)
     sols = solve_commutant(field, datum.family, sigma, args.q, args.budget)
-    cent = solve_commutant(field, datum.family, sigma, 1, args.budget)
-    torsor_ok = len(sols) in (0, len(cent))
+    cent = centralizer_order(field, datum.family, sigma, args.budget)
+    torsor_ok = len(sols) in (0, cent)
     inputs = _oracle_inputs(args, datum, field)
     inputs["sigma"] = [list(r) for r in sigma]
-    result = {"solutions": len(sols), "centralizer": len(cent)}
+    result = {"solutions": len(sols), "centralizer": cent}
     payload = _oracle_payload(
         "commutant", inputs, "pass" if torsor_ok else "fail", result,
         None if torsor_ok else {"sigma": inputs["sigma"]})
-    text = (f"solutions: {len(sols)}  centralizer: {len(cent)}  "
+    text = (f"solutions: {len(sols)}  centralizer: {cent}  "
             f"torsor: {'ok' if torsor_ok else 'VIOLATED'}")
     return payload, text
 

@@ -3,9 +3,9 @@
 Everything here is an independent shadow of the symbolic modules: exhaustive
 commutation solving, twisted-orbit enumeration, eigenvalue avoidance, and
 Jacobian rank probes.  Nothing imports results from the census or the ring
-presentations except as the object under test; automorphism enumeration uses
-`ExplicitGroup`'s homomorphism test, which the tests check against the
-all-pairs definition.
+presentations except as the object under test; twisted-orbit enumeration uses
+`ExplicitGroup`'s homomorphism test to choose one-pass orbits, and the tests
+check it against the all-pairs definition.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, Mapping, Optional
 
 from . import gf
@@ -119,12 +118,21 @@ def _map_rows(field: FiniteField, plus, minus) -> list[list[int]]:
 
 def solve_commutant(field: FiniteField, kind: str, sigma: Matrix, q: int,
                     budget: Optional[int] = None) -> list[Matrix]:
-    """All phi in the group with phi sigma phi^-1 = sigma^q, by kernel enumeration.
+    """All phi in the group with phi sigma phi^-1 = sigma^q, by kernel enumeration, sorted.
 
     The commutation equation is linear in phi; we enumerate the kernel of
-    X -> X sigma - sigma^q X and filter by group membership.  There are
-    |F|^(kernel dim) candidates, and that count is checked against the budget
-    before any enumeration work, the multiples table included.
+    X -> X sigma - sigma^q X and filter by group membership, under the
+    budget, as `_commutant_members` describes.
+    """
+    return sorted(_commutant_members(field, kind, sigma, q, budget))
+
+
+def _commutant_members(field: FiniteField, kind: str, sigma: Matrix, q: int,
+                       budget: Optional[int]) -> Iterator[Matrix]:
+    """The group members in the kernel of X -> X sigma - sigma^q X, in walk order.
+
+    There are |F|^(kernel dim) candidates, and that count is checked against
+    the budget before any enumeration work, the multiples table included.
 
     The table holds c * v for every c in F and every kernel basis vector v
     (|F| * dim * n^2 entries).  The span is walked depth-first, one basis
@@ -148,9 +156,7 @@ def solve_commutant(field: FiniteField, kind: str, sigma: Matrix, q: int,
         for vec in kernel
     ]
     zero = tuple((0,) * n for _ in range(n))
-    out = [mat for mat in _span(multiples, zero, field.add) if is_member(field, kind, mat)]
-    out.sort()
-    return out
+    return (mat for mat in _span(multiples, zero, field.add) if is_member(field, kind, mat))
 
 
 def _span(multiples: list, partial: Matrix, add) -> Iterator[Matrix]:
@@ -174,7 +180,12 @@ def _span(multiples: list, partial: Matrix, add) -> Iterator[Matrix]:
 
 def centralizer_order(field: FiniteField, kind: str, sigma: Matrix,
                       budget: Optional[int] = None) -> int:
-    return len(solve_commutant(field, kind, sigma, 1, budget))
+    """|C(sigma)|: the solutions of phi sigma phi^-1 = sigma, counted, not listed.
+
+    The same walk and budget as `solve_commutant` at q = 1, without holding
+    or sorting the solutions.
+    """
+    return sum(1 for _ in _commutant_members(field, kind, sigma, 1, budget))
 
 
 # -- pi_0 detectors -----------------------------------------------------------
@@ -250,15 +261,29 @@ def classify_twist(field: FiniteField, kind: str, sigma: Matrix, q: int,
 
 def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str, str]] = None,
                               budget: Optional[int] = None) -> int:
-    """Number of orbits of a -> g a twist(g)^-1, by direct closure."""
+    """Number of orbits of a -> g a twist(g)^-1, by enumeration over all of G.
+
+    When the twist is an automorphism this is a group action, so the orbit of
+    a is its image under every g, found in one pass: |G| steps per orbit.  Any
+    other bijection of the labels gets the closure under every move, which
+    joins a with g a twist(g)^-1 until nothing new appears.
+    """
     check_budget(group.order * group.order, "twisted orbit enumeration", budget)
     images = tuple(range(group.order)) if twist is None else group.twist_indices(twist)
     if images is None:
         raise ValueError("twist is not a bijection of the group's labels")
     table = group.table
     twist_inv = [group.inverse[t] for t in images]
-    remaining = set(range(group.order))
     count = 0
+    if twist is None or group._respects(images):
+        seen = bytearray(group.order)
+        for a in range(group.order):
+            if not seen[a]:
+                count += 1
+                for row, t in zip(table, twist_inv):
+                    seen[table[row[a]][t]] = 1
+        return count
+    remaining = set(range(group.order))
     while remaining:
         start = next(iter(remaining))
         orbit = {start}
@@ -276,35 +301,86 @@ def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str,
 
 
 def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
-    """Every automorphism, by extending order-compatible generator images."""
+    """Every automorphism, by extending generator images one generated subgroup at a time.
+
+    H_i is the subgroup generated by g_0 .. g_(i-1).  A one-to-one
+    homomorphism phi on H_i extends to H_(i+1) by an image of g_i of the same
+    order: phi(x * g_j) = phi(x) * phi(g_j) defines each new element of
+    H_(i+1) from one already mapped.  The extension is kept only if it hits
+    no image twice and that rule holds on every other pair (x, j) that no
+    smaller subgroup has checked.  So an image already in phi(H_i) fails at
+    once, and a bad choice for g_i is never paired with any choice for later
+    generators.  Generator images are tried in `itertools.product` order over
+    the candidates, and each map lists its elements in breadth-first order
+    from the generators.
+    """
     table = group.table
     gens = group.generators
-    # BFS spanning tree: each element reached as (parent) * gen
-    parent: dict[int, tuple[int, int]] = {}
-    order_list = [0]
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for i, g in enumerate(gens):
-            y = table[x][g]
-            if y not in parent and y != 0:
-                parent[y] = (x, i)
-                order_list.append(y)
-                queue.append(y)
+    order = group.order
+    # levels[i] is (new, checks), lists of (y, x, j) with y = x * g_j: new
+    # defines each element of H_(i+1) \ H_i from one listed before it, and
+    # checks holds every other pair with x in H_(i+1), j <= i, and not both
+    # x in H_i and j < i.
+    levels = []
+    members = [0]
+    inside = bytearray(order)
+    inside[0] = 1
+    for i in range(len(gens)):
+        old = len(members)
+        new, checks = [], []
+        for pos, x in enumerate(members):
+            for j in range(i if pos < old else 0, i + 1):
+                y = table[x][gens[j]]
+                if inside[y]:
+                    checks.append((y, x, j))
+                else:
+                    inside[y] = 1
+                    members.append(y)
+                    new.append((y, x, j))
+        levels.append((new, checks))
+    # the key order of every map: breadth first from the identity
+    keys = [0]
+    seen = bytearray(order)
+    seen[0] = 1
+    for x in keys:
+        for y in map(table[x].__getitem__, gens):
+            if not seen[y]:
+                seen[y] = 1
+                keys.append(y)
     orders = [group.element_order(a) for a in group.labels]
-    candidates = [
-        [h for h in range(group.order) if orders[h] == orders[g]]
-        for g in gens
-    ]
+    candidates = [[h for h in range(order) if orders[h] == orders[g]] for g in gens]
     labels = group.labels
+    phi = [0] * order
+    hit = bytearray(order)
+    hit[0] = 1
+    images = [0] * len(gens)
     out = []
-    for images in product(*candidates):
-        phi = [0] * group.order
-        for y in order_list[1:]:
-            x, i = parent[y]
-            phi[y] = table[phi[x]][images[i]]
-        if len(set(phi)) == group.order and group._respects(phi):
-            out.append({labels[y]: labels[phi[y]] for y in order_list})
+
+    def extend(i: int) -> None:
+        if i == len(gens):
+            out.append({labels[y]: labels[phi[y]] for y in keys})
+            return
+        new, checks = levels[i]
+        for image in candidates[i]:
+            images[i] = image
+            mapped = 0
+            for y, x, j in new:
+                z = table[phi[x]][images[j]]
+                if hit[z]:
+                    break
+                hit[z] = 1
+                phi[y] = z
+                mapped += 1
+            else:
+                for y, x, j in checks:
+                    if phi[y] != table[phi[x]][images[j]]:
+                        break
+                else:
+                    extend(i + 1)
+            for y, _, _ in new[:mapped]:
+                hit[phi[y]] = 0
+
+    extend(0)
     return out
 
 

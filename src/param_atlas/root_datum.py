@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import math
 from operator import sub
 
-from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_mul, mat_vec, solve
+from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_mul, mat_rank, solve
 
 SUPPORTED_PRESETS = "GL_n (n>=1), SL_n (n>=2), GSp_4, GSp_6, U_n (n>=2)"
 
@@ -106,6 +106,41 @@ class GroupDatum:
     @property
     def simple_coroots(self) -> tuple[Vec, ...]:
         return tuple(self.coroots[i] for i in self.simple)
+
+    @cached_property
+    def _simple_pairs(self) -> tuple[tuple[Vec, Vec], ...]:
+        """(alpha, alpha^vee) for each simple root, once the Weyl closures are known to stop.
+
+        The datum must meet four axioms: the simple roots are linearly
+        independent, each pairs to 2 with its coroot, each simple reflection
+        maps the roots into the roots, and each simple coreflection maps the
+        coroots into the coroots.  Then the rational lattice is the span of
+        the roots, on which W acts through the finite group of root
+        permutations, plus the common kernel of the simple coroots, which W
+        fixes.  So every W-orbit is finite, and a height positive on every
+        simple root rises at each step toward the dominant chamber.  A datum
+        that fails raises ValueError here, not in a closure that never ends.
+        """
+        pairs = tuple(zip(self.simple_roots, self.simple_coroots))
+        roots, coroots = set(self.roots), set(self.coroots)
+        if mat_rank(QQ, [list(alpha) for alpha, _ in pairs]) < len(pairs):
+            raise ValueError(f"{self.name} is not a root datum: the simple roots are dependent")
+        for alpha, covee in pairs:
+            if dot(alpha, covee) != 2:
+                raise ValueError(f"{self.name} is not a root datum: simple root {alpha} "
+                                 f"pairs to {dot(alpha, covee)} with its coroot")
+            if any(_reflect(beta, dot(beta, covee), alpha) not in roots for beta in roots):
+                raise ValueError(f"{self.name} is not a root datum: the reflection in "
+                                 f"{alpha} does not map the roots into the roots")
+            if any(_reflect(gamma, dot(alpha, gamma), covee) not in coroots for gamma in coroots):
+                raise ValueError(f"{self.name} is not a root datum: the coreflection in "
+                                 f"{covee} does not map the coroots into the coroots")
+        return pairs
+
+
+def _reflect(v: Vec, c: int, alpha: Vec) -> Vec:
+    """v - c * alpha."""
+    return tuple(x - c * a for x, a in zip(v, alpha))
 
 
 class UnsupportedPresetError(ValueError):
@@ -202,14 +237,17 @@ def reflection_matrix(datum: GroupDatum, root_index: int) -> Mat:
 
 
 def orbit_of_weight(datum: GroupDatum, weight: Vec) -> tuple[Vec, ...]:
-    """W-orbit of a weight, by closure under the simple reflections only."""
-    gens = [reflection_matrix(datum, i) for i in datum.simple]
+    """W-orbit of a weight, by closure under the simple reflections only.
+
+    Raises ValueError when the datum fails the axioms that make the orbit finite.
+    """
+    pairs = datum._simple_pairs
     seen = {tuple(weight)}
     queue = deque([tuple(weight)])
     while queue:
         v = queue.popleft()
-        for g in gens:
-            u = mat_vec(g, v)
+        for alpha, cv in pairs:
+            u = _reflect(v, dot(v, cv), alpha)
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
@@ -221,15 +259,18 @@ def is_dominant(datum: GroupDatum, weight: Vec) -> bool:
 
 
 def dominant_representative(datum: GroupDatum, weight: Vec) -> Vec:
-    """The unique dominant weight in the W-orbit."""
+    """The unique dominant weight in the W-orbit.
+
+    Raises ValueError when the datum fails the axioms that make the descent stop.
+    """
     v = tuple(weight)
-    pairs = tuple(zip(datum.simple_roots, datum.simple_coroots))
+    pairs = datum._simple_pairs
     while True:
         for alpha, cv in pairs:
             c = dot(v, cv)
             if c < 0:
                 # s_alpha(v) = v - <v, alpha^vee> alpha
-                v = tuple(x - c * a for x, a in zip(v, alpha))
+                v = _reflect(v, c, alpha)
                 break
         else:
             return v

@@ -163,7 +163,11 @@ def test_map_rows_is_the_map_on_vec_x(p, k):
                 [e for r in image for e in r]
 
 
-def test_solve_commutant_budget_precedes_the_multiples_table(monkeypatch):
+@pytest.mark.parametrize("walk", [
+    lambda field, sigma, budget: solve_commutant(field, "GL", sigma, 1, budget),
+    lambda field, sigma, budget: centralizer_order(field, "GL", sigma, budget),
+], ids=["solve_commutant", "centralizer_order"])
+def test_solve_commutant_budget_precedes_the_multiples_table(walk, monkeypatch):
     field = gf.FiniteField(2, 8)
 
     def built(*args):
@@ -172,7 +176,7 @@ def test_solve_commutant_budget_precedes_the_multiples_table(monkeypatch):
     monkeypatch.setattr(field, "elements", built)
     monkeypatch.setattr(field, "units", built)
     with pytest.raises(BudgetExceededError):
-        solve_commutant(field, "GL", ((1, 0), (0, 1)), 1, budget=256 ** 4 - 1)
+        walk(field, ((1, 0), (0, 1)), 256 ** 4 - 1)
 
 
 def _roots(field, t, d):
@@ -210,6 +214,8 @@ def test_solve_commutant_matches_the_definition_on_every_matrix(p, k):
                 expected = [phi for phi in everything
                             if is_commutant_solution(field, kind, sigma, q, phi)]
                 assert solve_commutant(field, kind, sigma, q) == expected, (kind, sigma, q)
+                if q == 1:
+                    assert centralizer_order(field, kind, sigma) == len(expected), (kind, sigma)
                 nonempty.add(bool(expected))
     assert nonempty == {False, True}  # some solution sets are empty, some are not
 
@@ -336,6 +342,19 @@ def test_bruteforce_orbits_match_definition_on_every_bijection():
             assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, images)
 
 
+@pytest.mark.parametrize("group", [
+    quaternion_group(),
+    direct_product(symmetric_group_3(), cyclic_group(2)),
+    direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2)),
+    direct_product(cyclic_group(4), cyclic_group(4)),
+], ids=["Q8", "S3xZ2", "Z2^3", "Z4xZ4"])
+def test_one_pass_orbits_match_definition_on_every_automorphism(group):
+    # an automorphism twist takes the one-pass branch of the brute force
+    for twist in all_automorphisms(group):
+        images = group.twist_indices(twist)
+        assert twisted_orbits_bruteforce(group, twist) == _orbits_union_find(group, images)
+
+
 def test_bruteforce_orbits_close_over_all_of_g_for_non_homomorphisms():
     # This bijection fixes the generator 1 of Z/4 but is not a homomorphism.
     # Closing over the generator alone would leave all 4 elements apart; the
@@ -366,7 +385,11 @@ def test_all_automorphisms_known_orders():
     (direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2)),
      "cc07cb31c93cf2f9a7e04e2264d94f2dd7b42bba31d092cad75f116df86ce8ab"),
     (quaternion_group(), "d729520882e1691631b6637f0234f0be70858758d45b38796bb93a5e63dc30b7"),
-], ids=["Z2^3", "Q8"])
+    (direct_product(symmetric_group_3(), cyclic_group(2)),
+     "b50ea96795e4c474ee6dd9d1d781439150c45c408c4e3b4bfd566cd09ba77161"),
+    (direct_product(cyclic_group(2), cyclic_group(8)),
+     "24171f3a3219b5ff17b264ac93cc4371a6dd7f95da3be669a25c2a1f73771c1c"),
+], ids=["Z2^3", "Q8", "S3xZ2", "Z2xZ8"])
 def test_all_automorphisms_order_pinned(group, digest):
     # json.dumps keeps the list order and each dict's key order
     assert hashlib.sha256(json.dumps(all_automorphisms(group)).encode()).hexdigest() == digest

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -230,6 +234,8 @@ def test_root_datum_axioms(family, n):
     if family == "GSp":
         expected[k - 1][k - 2] = -2  # C_m: the last simple root is long
     assert cartan == expected
+    # the Weyl closures' own axiom check passes on every preset
+    assert datum._simple_pairs == tuple(zip(datum.simple_roots, datum.simple_coroots))
     for alpha in roots:
         coeffs = solve(QQ, list(datum.simple_roots), alpha)
         assert all(c.denominator == 1 for c in coeffs)
@@ -254,3 +260,29 @@ def test_roots_are_weight_differences_in_coordinate_order(family, n):
     else:
         # type A keeps every w_a - w_b distinct, so the roots are all n(n-1) of them
         assert datum.roots == tuple(diffs)
+
+
+# A public datum whose third weight is the sum of the first two: its simple
+# reflections generate an infinite group, so an unchecked orbit would grow
+# until memory runs out and an unchecked descent would never stop.  The child process has
+# its own address-space and time limits.
+BAD_WEYL_CLOSURE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from param_atlas import root_datum
+bad = root_datum.GroupDatum("GL", 3, ((1, 0), (0, 1), (1, 1)), 1, ((1, 0), (0, 1)))
+try:
+    getattr(root_datum, sys.argv[1])(bad, (-2, 5))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("fn", ["orbit_of_weight", "dominant_representative"])
+def test_weyl_closure_rejects_a_datum_whose_reflections_leave_the_roots(fn):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", BAD_WEYL_CLOSURE, fn], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("GL3 is not a root datum:"), proc.stdout
