@@ -22,19 +22,42 @@ Partition = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n as weakly decreasing tuples."""
+    """All partitions of n as weakly decreasing tuples, in reverse lexicographic order.
+
+    Zoghbi and Stojmenovic's ZS1 (Int. J. Comput. Math. 70, 1998): x[:m] is
+    the current partition, every entry past h is 1, and each step lowers x[h]
+    by one and refills the tail with as many copies of x[h] as fit.
+    """
     if n < 0:
         raise ValueError("partitions of a negative integer")
-
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    if n == 0:
+        return ((),)
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the unit taken from x[h] plus the ones after it
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(tuple(x[:m]))
+    return tuple(out)
 
 
 def symplectic_partitions(n: int) -> tuple[Partition, ...]:
@@ -428,11 +451,14 @@ def census(datum: GroupDatum, ctx: ArithmeticContext) -> list[CensusEntry]:
     identity twist on pi_0, so the entries are the same for every q.
     """
     entries = []
+    reps: dict[ExplicitGroup, tuple[str, ...]] = {}  # one twisted-class count per pi_0 group
     for r, classes in itertools.groupby(unipotent_classes(datum), key=lambda c: c.rank_drop):
         found = []
         for cls in classes:
             pi0 = component_group(datum, cls, ctx)
-            found += [(cls, pi0, rep) for rep in twisted_class_count(pi0.group).representatives]
+            if pi0.group not in reps:
+                reps[pi0.group] = twisted_class_count(pi0.group).representatives
+            found += [(cls, pi0, rep) for rep in reps[pi0.group]]
         for idx, (cls, pi0, rep) in enumerate(found):
             label = f"C{r}" if len(found) == 1 else f"C{r}{_letters(idx)}"
             entries.append(CensusEntry(cls, label, rep, pi0))

@@ -6,10 +6,12 @@ is checked by `ArithmeticContext` (q a prime power, ell a prime other than
 p), and every oracle on a group builds its `inputs` with `_oracle_inputs`.
 Each handler imports the modules it runs, so a job loads only those.
 
+Each handler returns its JSON payload and a function that renders the text,
+which runs only under `--output text`.  JSON output is the bytes of
+`json.dumps(payload, indent=2, sort_keys=True)`, written by `_indented`.
 Output is deterministic for a fixed (config, seed): tables are canonically
-sorted and JSON is dumped with sorted keys, so golden-file comparisons are
-byte-exact.  Exit codes: 0 success, 2 usage or config error, 3 budget
-exceeded.
+sorted and JSON keys are sorted, so golden-file comparisons are byte-exact.
+Exit codes: 0 success, 2 usage or config error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -110,6 +112,36 @@ def _fmt_partition(partition) -> str:
     return ",".join(str(x) for x in partition)
 
 
+def _indented(value, pad: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), built by joins.
+
+    With any indent the json module runs its pure-Python encoder, which
+    yields one small string per token.  Here strings, ints, the three literals,
+    lists, tuples and dicts with string keys are written directly; any other
+    value goes through json.dumps and is shifted to this depth.  `pad` is a
+    newline plus the indentation of the line that holds the value.
+    """
+    kind = type(value)
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    if (kind is list or kind is tuple) and value:
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in value]) + pad + "]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        encode = json.encoder.encode_basestring_ascii
+        return "{" + inner + ("," + inner).join([
+            encode(k) + ": " + _indented(v, inner) for k, v in sorted(value.items())]) + pad + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 # -- census / coverage / bg-ring ----------------------------------------------
 
 
@@ -125,22 +157,25 @@ def cmd_census(args):
     ctx = ArithmeticContext(args.q, args.ell)
     entries = [e.to_dict() for e in census(datum, ctx)]
     payload = _atlas_payload("census", datum, ctx, entries)
-    rows = []
-    for e in entries:
-        flags = [f for f in ("regular", "distinguished") if e[f]]
-        rows.append([
-            e["label"],
-            _fmt_partition(e["partition"]),
-            str(e["rank_drop"]),
-            e["pi0"],
-            e["twisted_class"],
-            ",".join(flags) if flags else "-",
-        ])
-    head = (f"unipotent component census for {datum.name.lower()}"
-            f" (q = {ctx.q}, ell = {ctx.ell})")
-    text = head + "\n" + _table(
-        ["label", "partition", "rank", "pi0", "class", "flags"], rows)
-    return payload, text
+
+    def render():
+        rows = []
+        for e in entries:
+            flags = [f for f in ("regular", "distinguished") if e[f]]
+            rows.append([
+                e["label"],
+                _fmt_partition(e["partition"]),
+                str(e["rank_drop"]),
+                e["pi0"],
+                e["twisted_class"],
+                ",".join(flags) if flags else "-",
+            ])
+        head = (f"unipotent component census for {datum.name.lower()}"
+                f" (q = {ctx.q}, ell = {ctx.ell})")
+        return head + "\n" + _table(
+            ["label", "partition", "rank", "pi0", "class", "flags"], rows)
+
+    return payload, render
 
 
 def cmd_coverage(args):
@@ -151,14 +186,17 @@ def cmd_coverage(args):
     verdicts = coverage_report(datum, ctx)
     entries = [v.to_dict() for v in verdicts]
     payload = _atlas_payload("coverage", datum, ctx, entries)
-    rows = []
-    for e in entries:
-        mark = "✓" if e["covered"] else "✗"
-        where = e["witness"]["shape"] if e["witness"] else (e["reason"] or "")
-        rows.append([e["label"], _fmt_partition(e["partition"]), mark, where])
-    head = f"Levi coverage for {datum.name.lower()} (q = {ctx.q}, ell = {ctx.ell})"
-    text = head + "\n" + _table(["label", "partition", "covered", "via/why"], rows)
-    return payload, text
+
+    def render():
+        rows = []
+        for e in entries:
+            mark = "✓" if e["covered"] else "✗"
+            where = e["witness"]["shape"] if e["witness"] else (e["reason"] or "")
+            rows.append([e["label"], _fmt_partition(e["partition"]), mark, where])
+        head = f"Levi coverage for {datum.name.lower()} (q = {ctx.q}, ell = {ctx.ell})"
+        return head + "\n" + _table(["label", "partition", "covered", "via/why"], rows)
+
+    return payload, render
 
 
 def cmd_bg_ring(args):
@@ -169,7 +207,7 @@ def cmd_bg_ring(args):
     payload = pres.to_dict()
     payload["schema_version"] = SCHEMA_VERSION
     payload["kind"] = "bg_ring"
-    return payload, pres.canonical_text()
+    return payload, pres.canonical_text
 
 
 # -- oracle subcommands --------------------------------------------------------
@@ -192,10 +230,8 @@ def cmd_oracle_twisted(args):
     payload = _oracle_payload(
         "twisted", inputs, "pass" if agree else "fail", {"orbit_count": count},
         None if agree else {"orbit_count": count, "census_count": expected})
-    text = f"twisted orbit count: {count}"
-    if not agree:
-        text += f"  census: {expected}  MISMATCH"
-    return payload, text
+    return payload, lambda: f"twisted orbit count: {count}" + (
+        "" if agree else f"  census: {expected}  MISMATCH")
 
 
 def cmd_oracle_commutant(args):
@@ -218,9 +254,8 @@ def cmd_oracle_commutant(args):
     payload = _oracle_payload(
         "commutant", inputs, "pass" if torsor_ok else "fail", result,
         None if torsor_ok else {"sigma": inputs["sigma"]})
-    text = (f"solutions: {len(sols)}  centralizer: {cent}  "
-            f"torsor: {'ok' if torsor_ok else 'VIOLATED'}")
-    return payload, text
+    return payload, lambda: (f"solutions: {len(sols)}  centralizer: {cent}  "
+                             f"torsor: {'ok' if torsor_ok else 'VIOLATED'}")
 
 
 def cmd_oracle_classify(args):
@@ -267,10 +302,9 @@ def cmd_oracle_classify(args):
     payload = _oracle_payload(
         "classify", _oracle_inputs(args, datum, field), verdict, result,
         {"labels": found, "census_entries": expected} if verdict == "fail" else None)
-    text = "labels: " + (", ".join(report.labels) if report.labels else "(none)")
-    if verdict == "fail":
-        text += f"  census entries: {expected}  MISMATCH"
-    return payload, text
+    return payload, lambda: "labels: " + (
+        ", ".join(report.labels) if report.labels else "(none)") + (
+        f"  census entries: {expected}  MISMATCH" if verdict == "fail" else "")
 
 
 def cmd_oracle_avoidant(args):
@@ -290,11 +324,9 @@ def cmd_oracle_avoidant(args):
     payload = _oracle_payload(
         "avoidant", inputs, "pass" if report.avoidant else "fail",
         report.to_dict(), None if report.avoidant else {"failures": list(report.failures)})
-    if report.avoidant:
-        text = f"avoidant: yes (exponent {report.exponent})"
-    else:
-        text = "avoidant: no (" + "; ".join(report.failures) + ")"
-    return payload, text
+    return payload, lambda: (
+        f"avoidant: yes (exponent {report.exponent})" if report.avoidant
+        else "avoidant: no (" + "; ".join(report.failures) + ")")
 
 
 def cmd_oracle_jacobian(args):
@@ -337,9 +369,8 @@ def cmd_oracle_jacobian(args):
     verdict = "inconclusive" if probed == 0 else "pass" if ok else "fail"
     payload = _oracle_payload(
         "jacobian", _oracle_inputs(args, datum, field, "trials"), verdict, result, bad)
-    text = (f"samples: {probed}  submersive: {result['submersive']}"
-            f"  rank-as-expected: {result['full_expected_rank']}")
-    return payload, text
+    return payload, lambda: (f"samples: {probed}  submersive: {result['submersive']}"
+                             f"  rank-as-expected: {result['full_expected_rank']}")
 
 
 def cmd_oracle_identities(args):
@@ -352,9 +383,8 @@ def cmd_oracle_identities(args):
     payload = _oracle_payload(
         "identities", _oracle_inputs(args, datum, field, "trials"),
         "pass" if report.passed else "fail", {"trials": report.trials}, report.failure)
-    text = (f"identity trials: {report.trials}  "
-            f"{'all passed' if report.passed else 'FAILED'}")
-    return payload, text
+    return payload, lambda: (f"identity trials: {report.trials}  "
+                             f"{'all passed' if report.passed else 'FAILED'}")
 
 
 # -- parser --------------------------------------------------------------------
@@ -433,17 +463,15 @@ def main(argv=None) -> int:
             # validate --budget (or PARAM_ATLAS_BUDGET) even where the
             # handler never reaches an enumeration that reads it
             current_budget(args.budget)
-        payload, text = args.handler(args)
+        payload, render = args.handler(args)
+        out = _indented(payload) if args.output == "json" else render()
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError, UnsupportedPresetError, q or ell out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(out)
     return 0
 
 

@@ -34,6 +34,25 @@ def test_partition_counts():
         assert len(partitions(n)) == count
 
 
+def _partitions_by_recursion(n, cap):
+    """Partitions of n with parts at most cap: largest first part first."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(n, cap), 0, -1)
+            for rest in _partitions_by_recursion(n - first, first)]
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_partition_order_is_reverse_lexicographic(n):
+    # census labels are assigned in this order
+    assert partitions(n) == tuple(_partitions_by_recursion(n, n))
+
+
+def test_partitions_of_a_negative_integer_raise():
+    with pytest.raises(ValueError):
+        partitions(-1)
+
+
 def test_symplectic_partitions():
     # odd parts must have even multiplicity
     assert set(symplectic_partitions(4)) == {

@@ -5,12 +5,14 @@ import importlib
 import itertools
 import json
 import pathlib
+import random
 import string
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from param_atlas import cli
 from param_atlas.cli import main
 
 SCHEMA = json.loads(
@@ -283,6 +285,114 @@ def test_coverage_gl12_bytes_unchanged_at_default_budget(capsys):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f19be61e1baaf3f52f0cee375f200fed7651f650e332fe6557b22c4fbf603fff")
+
+
+# sha256 of the stdout of the largest census and coverage outputs, in both
+# formats; the benchmark's golden digests do not cover these
+LARGE_OUTPUT_DIGESTS = {
+    ("census --group gl30", "json"):
+        "1a7c902b18966e849eb50e3c3f1e66d9ace45cd2e80920a2921c609e10bdd287",
+    ("census --group gl30", "text"):
+        "89eca612eb3237ae1b29663c8c8ff0d1c0bdd0cf0f6e366436ab2d5e0b701732",
+    ("census --group sl30 --ell 5", "json"):
+        "36db397e4168c719dc39b3681f71bce1942902f44ee05cd3f59453e905d765e3",
+    ("census --group sl30 --ell 5", "text"):
+        "ffbb9283cf1c1ce7b06901798b36c25ef69ea88b701067776e80bea16e28cf14",
+    ("census --group u30", "json"):
+        "868eceda64a49f06ef27be6cee29decf66e3813135a58b66676eb2ca5f14b126",
+    ("census --group u30", "text"):
+        "9ce61cd7823f7ea24098808f747a1ef1b920da17f1799e33cb14c00b96b61eeb",
+    ("census --group sl24 --ell 2", "json"):
+        "d6e7a1336ff75fb4712d6c543807841cc19d9caad421520b3cf2dbe24e535502",
+    ("census --group sl24 --ell 2", "text"):
+        "3cf3e9494b355f4726bd28fdca8d2eec8feebc11967b42419c270da064b9353d",
+    ("coverage --group gl16", "json"):
+        "f5042f94717170ed91468f1b534b29f1b4a13966379559fb388bec21322b223b",
+    ("coverage --group gl16", "text"):
+        "6bbc631508ca8c88db99dee430d0126b94722e6105910cffaeda46e87f15c182",
+    ("coverage --group u16", "json"):
+        "db5f8799b82436be93fd333698aed1514c26e904d6420841f3676fed9140ffa0",
+    ("coverage --group u16", "text"):
+        "6f3879742cbdcf5f37b61ce99c1624eb8bf467ccef51d1457d7ad9978f1505dd",
+}
+
+
+@pytest.mark.parametrize("command,output", sorted(LARGE_OUTPUT_DIGESTS))
+def test_large_output_bytes_pinned(capsys, command, output):
+    code, out, err = run(capsys, *command.split(), "--output", output)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUT_DIGESTS[command, output]
+
+
+def test_json_output_never_renders_text(capsys, monkeypatch):
+    def no_table(headers, rows):
+        raise AssertionError("text table built under --output json")
+
+    monkeypatch.setattr(cli, "_table", no_table)
+    for command in ("census", "coverage"):
+        code, out, err = run(capsys, command, "--group", "gsp4", "--ell", "5", "--output", "json")
+        assert code == 0, err
+        assert json.loads(out)["kind"] == command
+
+
+# one command per subcommand, whose payload the JSON writer must reproduce
+PAYLOAD_COMMANDS = [
+    "census --group gsp6 --ell 5",
+    "census --group sl12",
+    "coverage --group gsp4 --ell 5",
+    "bg-ring --group gsp4 --q 9",
+    "oracle twisted --order 12 --twist inv",
+    "oracle commutant --group sl2 --q 3 --ell 2 --field-degree 8 --seed 1",
+    "oracle classify --group gsp4 --q 3 --ell 5 --field-degree 2 --seed 1",
+    "oracle avoidant --group gsp4 --q 3 --ell 53 --seed 2",
+    "oracle avoidant --group gl2 --q 3 --ell 7 --seed 0",
+    "oracle jacobian --group sl2 --q 4 --ell 5 --trials 4 --seed 1",
+    "oracle identities --group gsp4 --q 3 --ell 7 --trials 5 --seed 1",
+]
+
+
+@pytest.mark.parametrize("command", PAYLOAD_COMMANDS)
+def test_json_writer_matches_json_dumps_on_every_subcommand(command):
+    args = cli.build_parser().parse_args(command.split())
+    payload, _ = args.handler(args)
+    assert cli._indented(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _random_string(rng):
+    # quotes, backslashes, control characters, non-ASCII, astral and a lone surrogate
+    return "".join(rng.choice('ab "\\/\b\f\n\r\t\x00\x1f\x7fé€𝔛\ud800')
+                   for _ in range(rng.randrange(6)))
+
+
+def _random_json_value(rng, depth):
+    kind = rng.randrange(9 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, 1, -1, 2 ** 64, -(3 ** 70), rng.randrange(-10 ** 9, 10 ** 9)])
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1.5, -2.25e-300, 1e300, float("nan"), float("inf"),
+                           float("-inf"), rng.random()])
+    if kind == 3:
+        return _random_string(rng)
+    children = [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return children
+    if kind == 5:
+        return tuple(children)
+    if kind in (6, 7):
+        return {_random_string(rng): v for v in children}
+    # keys of one non-string type, which json.dumps sorts and then converts
+    key = rng.choice([lambda: rng.randrange(-50, 50), lambda: rng.random() - 0.5,
+                      lambda: rng.choice([True, False])])
+    return {key(): v for v in children}
+
+
+def test_json_writer_matches_json_dumps_on_random_values():
+    rng = random.Random(16)
+    for _ in range(3000):
+        value = _random_json_value(rng, 0)
+        assert cli._indented(value) == json.dumps(value, indent=2, sort_keys=True), value
 
 
 @pytest.mark.parametrize("argv", [
