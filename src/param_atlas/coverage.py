@@ -6,6 +6,10 @@ a preset rule validated by the finite oracles: the identity twisted class is
 always reached; non-identity classes are reached from the full group, and (via
 block-scalar witnesses) from proper Levis in the SL family only.
 
+A standard Levi is laid out by its runs: the maximal runs of coordinates of
+the standard representation that its simple roots join (`GroupDatum.joins`).
+Its regular unipotent has one Jordan block per run, in every family.
+
 Each witness is built straight from the partition (`regular_levi`);
 `standard_levis` enumerates every subset and is the reference scan.
 """
@@ -40,37 +44,39 @@ def simple_root_permutation(datum: GroupDatum) -> tuple[int, ...]:
 class StandardLevi:
     """Levi determined by a subset of simple roots.
 
-    gl_blocks lists diagonal GL block sizes by position (singleton positions
-    included); core is the symplectic core size 2c for GSp subsets containing
-    the long root, else 0.
+    runs lists the lengths of the maximal runs of coordinates that the subset
+    joins, in order.  GSp runs are a palindrome: the GL blocks, then the
+    symplectic core 2c when the count of runs is odd, then the mirror.
     """
 
     family: str
     n: int
     subset: tuple[int, ...]
     gamma_stable: bool
-    gl_blocks: tuple[int, ...]
-    core: int
+    runs: tuple[int, ...]
+
+    @property
+    def gl_blocks(self) -> tuple[int, ...]:
+        """Diagonal GL block sizes by position, singleton positions included."""
+        return self.runs[:len(self.runs) // 2] if self.family == "GSp" else self.runs
+
+    @property
+    def core(self) -> int:
+        """The symplectic core size 2c, or 0 when there is none."""
+        odd = self.family == "GSp" and len(self.runs) % 2
+        return self.runs[len(self.runs) // 2] if odd else 0
 
     @property
     def is_full_group(self) -> bool:
-        n_simple = (self.n // 2) if self.family == "GSp" else self.n - 1
-        return len(self.subset) == n_simple
+        return len(self.runs) == 1
 
     def jordan_contribution(self) -> tuple[int, ...]:
         """Jordan type of a regular unipotent of this Levi in the ambient group."""
-        if self.family in ("GL", "SL", "U"):
-            return tuple(sorted(self.gl_blocks, reverse=True))
-        parts = []
-        for b in self.gl_blocks:
-            parts += [b, b]
-        if self.core:
-            parts.append(self.core)
-        return tuple(sorted(parts, reverse=True))
+        return tuple(sorted(self.runs, reverse=True))
 
     def describe(self) -> str:
         pieces = [f"GL{b}" for b in self.gl_blocks]
-        if self.family == "GSp" and self.core:
+        if self.core:
             pieces.append(f"GSp{self.core}")
         return "x".join(pieces) if pieces else "T"
 
@@ -84,29 +90,17 @@ class StandardLevi:
         }
 
 
-def _gl_blocks(subset: set[int], npos: int) -> tuple[int, ...]:
-    """GL block sizes on npos positions; simple root i < npos - 1 in subset joins i and i + 1."""
-    blocks = []
-    pos = 0
-    while pos < npos:
-        end = pos
-        while end in subset and end < npos - 1:
-            end += 1
-        blocks.append(end - pos + 1)
-        pos = end + 1
-    return tuple(blocks)
-
-
 def _levi_from_subset(datum: GroupDatum, subset: tuple[int, ...], stable: bool) -> StandardLevi:
     s = set(subset)
-    if datum.family in ("GL", "SL", "U"):
-        return StandardLevi(datum.family, datum.n, subset, stable, _gl_blocks(s, datum.n), 0)
-    # GSp: the run of simple roots ending at the long root m - 1 spans the core
-    m = datum.n // 2
-    npos = m
-    while npos - 1 in s:
-        npos -= 1
-    return StandardLevi(datum.family, datum.n, subset, stable, _gl_blocks(s, npos), 2 * (m - npos))
+    runs, length = [], 1
+    for j in datum.joins:
+        if j in s:
+            length += 1
+        else:
+            runs.append(length)
+            length = 1
+    runs.append(length)
+    return StandardLevi(datum.family, datum.n, subset, stable, tuple(runs))
 
 
 def standard_levis(datum: GroupDatum) -> list[StandardLevi]:
@@ -121,41 +115,31 @@ def standard_levis(datum: GroupDatum) -> list[StandardLevi]:
     return out
 
 
-def _block_subset(blocks) -> tuple[int, ...]:
-    """The simple roots joining the positions of each block, blocks laid out from 0."""
-    subset, start = [], 0
-    for b in blocks:
-        subset += range(start, start + b - 1)
-        start += b
-    return tuple(subset)
-
-
 def regular_levi(datum: GroupDatum, partition: tuple[int, ...]) -> Optional[StandardLevi]:
     """The first stable standard Levi in (len(subset), subset) order whose regular
     unipotent has Jordan type partition, or None.
 
-    A class is regular in a Levi exactly when the Levi's blocks rearrange its
+    A class is regular in a Levi exactly when the Levi's runs rearrange its
     partition (Bala-Carter), so all such subsets have one size, and the least
-    of them lays the blocks out in decreasing order.  GL, SL: the blocks are
-    the partition.  With half each part repeated mult // 2 times: U_n needs a
-    palindrome, half + [odd-multiplicity part] + reversed(half); GSp has GL
-    blocks half (each gives (b, b)) and the odd-multiplicity part as core 2c.
-    For U_n and GSp, two odd-multiplicity parts leave no witness.
+    of them lays the runs out in decreasing order.  GL, SL: the runs are the
+    partition.  U_n and GSp need a palindrome, half + [odd-multiplicity part]
+    + reversed(half), with half each part repeated mult // 2 times; two
+    odd-multiplicity parts leave no witness.
     """
-    counts = Counter(partition)
-    half = [d for d in sorted(counts, reverse=True) for _ in range(counts[d] // 2)]
-    odd = [d for d in counts if counts[d] % 2]
     if datum.family in ("GL", "SL"):
-        subset = _block_subset(sorted(partition, reverse=True))
-    elif len(odd) > 1:
-        return None
-    elif datum.family == "U":
-        subset = _block_subset(half + odd + half[::-1])
+        runs = sorted(partition, reverse=True)
     else:
-        m = datum.n // 2
-        c = odd[0] // 2 if odd else 0
-        subset = _block_subset(half) + tuple(range(m - c, m))
-    return _levi_from_subset(datum, subset, True)
+        counts = Counter(partition)
+        half = [d for d in sorted(counts, reverse=True) for _ in range(counts[d] // 2)]
+        odd = [d for d in counts if counts[d] % 2]
+        if len(odd) > 1:
+            return None
+        runs = half + odd + half[::-1]
+    subset, start = set(), 0
+    for r in runs:
+        subset.update(datum.joins[start:start + r - 1])
+        start += r
+    return StandardLevi(datum.family, datum.n, tuple(sorted(subset)), True, tuple(runs))
 
 
 def is_regular_in(cls: UnipotentClass, levi: StandardLevi) -> bool:

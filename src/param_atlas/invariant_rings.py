@@ -1,10 +1,12 @@
 """Weyl-invariant rings of the preset tori and their q-power fixed rings.
 
 The invariant ring of the character lattice has a Z-basis of orbit sums m_lam
-indexed by dominant weights lam (Bourbaki, Lie VI 3.4).  The preset generator
-sets are orbit sums of the staircase weights e_1+...+e_k (one per simple root,
-in order) together with an invertible monomial generator where the preset has
-one (det for GL_n/U_n, the similitude nu for GSp).
+indexed by dominant weights lam (Bourbaki, Lie VI 3.4).  The generators are
+read off the datum's coordinate weights: the orbit sums of the staircase
+weights w_0+...+w_(k-1), one per simple root (e_1+...+e_k in every preset),
+then the determinant character over its gcd as an invertible monomial when it
+is not zero.  That spans X^W: det for GL_n/U_n, the similitude nu for GSp
+(det = nu^m), nothing for SL_n.  Only the names are a per-family table.
 
 Rewriting an invariant polynomial in the generators is elimination along the
 dominance order, done entirely in the orbit-sum basis {dominant lam: coeff}:
@@ -28,9 +30,10 @@ non-similitude generator, and nu^{q-1} - 1 for the similitude coordinate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import heapq
 import itertools
+import math
 from operator import add
 
 from ._linalg import QQ, Vec, dot, solve
@@ -64,13 +67,20 @@ class GeneratorSet:
     datum: GroupDatum
     names: tuple[str, ...]
     polys: tuple[LaurentPolynomial, ...]
-    invertible: tuple[bool, ...]
     leading: tuple[Vec, ...]          # dominant leading weight per generator
-    staircase: tuple[int, ...]        # generator indices aligned with simple roots
     similitude_index: int | None
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def staircase(self) -> tuple[int, ...]:
+        """Generator indices aligned with the simple roots; every later one is invertible."""
+        return tuple(range(len(self.datum.simple)))
+
+    @cached_property
+    def invertible(self) -> tuple[bool, ...]:
+        return tuple(i >= len(self.staircase) for i in range(len(self.names)))
 
 
 def orbit_sum(datum: GroupDatum, weight: Vec) -> LaurentPolynomial:
@@ -87,40 +97,33 @@ def non_invariance_witness(datum: GroupDatum, f: LaurentPolynomial) -> int | Non
     return None
 
 
+def _generator_names(datum: GroupDatum, count: int) -> tuple[str, ...]:
+    """The preset names of the generators, the last one invertible where there is one."""
+    fam = datum.family
+    if fam == "GSp":
+        return tuple(f"o{k}" for k in range(1, count)) + ("nu",)
+    if count == 1 and fam in ("GL", "SL"):
+        return ("x",) if fam == "GL" else ("c",)
+    letter = "c" if fam == "SL" else "e"
+    return tuple(f"{letter}{k}" for k in range(1, count + 1))
+
+
 @lru_cache(maxsize=None)
 def fundamental_invariants(datum: GroupDatum) -> GeneratorSet:
-    fam = datum.family
-    # staircase weights w_0 + ... + w_(k-1), that is e_1 + ... + e_k in every preset
+    """Orbit sums of the staircase weights, then the primitive determinant character."""
     partial = list(itertools.accumulate(datum.weights, lambda u, v: tuple(map(add, u, v))))
-    if fam in ("GL", "U"):
-        n = datum.n
-        names = ("x",) if (fam == "GL" and n == 1) else tuple(f"e{k}" for k in range(1, n + 1))
-        weights = partial
-        invertible = tuple(k == n for k in range(1, n + 1))
-        staircase = tuple(range(n - 1))
-        sim = None
-    elif fam == "SL":
-        n = datum.n
-        names = ("c",) if n == 2 else tuple(f"c{k}" for k in range(1, n))
-        weights = partial[:n - 1]
-        invertible = tuple(False for _ in weights)
-        staircase = tuple(range(n - 1))
-        sim = None
-    elif fam == "GSp":
-        m = datum.n // 2
-        names = tuple(f"o{k}" for k in range(1, m + 1)) + ("nu",)
-        # the similitude nu is w_0 + w_(n-1)
-        weights = partial[:m] + [tuple(map(add, datum.weights[0], datum.weights[-1]))]
-        invertible = tuple([False] * m + [True])
-        staircase = tuple(range(m))
-        sim = m
-    else:  # pragma: no cover - presets are closed
-        raise ValueError(f"no generator table for family {fam}")
+    weights = partial[:len(datum.simple)]
+    det = partial[-1]
+    if any(det):
+        g = math.gcd(*det)
+        weights.append(tuple(c // g for c in det))
+    names = _generator_names(datum, len(weights))
+    sim = len(datum.simple) if datum.family == "GSp" else None
     polys = tuple(orbit_sum(datum, w) for w in weights)
     for g in polys:
         assert non_invariance_witness(datum, g) is None
     leading = tuple(dominant_representative(datum, w) for w in weights)
-    return GeneratorSet(datum, names, polys, tuple(invertible), leading, staircase, sim)
+    return GeneratorSet(datum, names, polys, leading, sim)
 
 
 def adams(f: LaurentPolynomial, q: int) -> LaurentPolynomial:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
@@ -432,24 +431,18 @@ def lie_torus_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], 
     )
 
 
-def _simple_coefficients(datum: GroupDatum, alpha) -> list[Fraction]:
-    coeffs = solve(QQ, [datum.roots[i] for i in datum.simple], alpha)
-    if coeffs is None:
-        raise RuntimeError("root outside the simple-root span")  # pragma: no cover
-    return coeffs
-
-
 def _root_split(datum: GroupDatum, subset: tuple[int, ...]):
-    """Indices of roots in the Levi, in U (positive outside), in U^- (negative)."""
+    """Indices of roots in the Levi, in U (positive outside), in U^- (negative).
+
+    A root with a spot (a, b) is the signed sum of the simple roots joining
+    the coordinates between a and b; it is positive exactly when a < b.
+    """
     inside, upper, lower = [], [], []
     s = set(subset)
-    for idx, alpha in enumerate(datum.roots):
-        coeffs = _simple_coefficients(datum, alpha)
-        support = {i for i, c in enumerate(coeffs) if c != 0}
-        positive = all(c >= 0 for c in coeffs)
-        if support <= s:
+    for idx, ((a, b), *_) in enumerate(datum.spots.values()):
+        if s.issuperset(datum.joins[min(a, b):max(a, b)]):
             inside.append(idx)
-        elif positive:
+        elif a < b:
             upper.append(idx)
         else:
             lower.append(idx)

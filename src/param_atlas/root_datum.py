@@ -12,9 +12,12 @@ representation, written in a fixed basis of diagonal-torus characters
 
 Everything else is derived from the weights, on first use.  The roots are the
 distinct w_a - w_b (a != b) in first-seen (a, b) order, and the spots of alpha
-are its pairs (a, b).  The simple roots are the distinct w_i - w_(i+1).  The
-coroot of alpha is the sum of E_aa - E_bb over its spots, as a cocharacter:
-its pairing with w_a is its a-th diagonal entry.
+are its pairs (a, b).  The simple roots are the distinct w_i - w_(i+1), and
+joins[a] is the position among them of w_a - w_(a+1), read off the weights
+alone.  A root with a spot (a, b) is the sum of the simple roots joins[a:b]
+when a < b and minus that of joins[b:a] when b < a.  The coroot of alpha is
+the sum of E_aa - E_bb over its spots, as a cocharacter: its pairing with w_a
+is its a-th diagonal entry.
 
 The twisted presets carry a finite group Gamma acting through `frobenius_dual`;
 only Gamma of order 1 or 2 occurs (U_n uses the reversal-negation involution
@@ -91,6 +94,17 @@ class GroupDatum:
                 h[a] -= sum(c * h[k] for k, c in row)
             out.append(tuple(h))
         return tuple(out)
+
+    @cached_property
+    def joins(self) -> tuple[int, ...]:
+        """For each coordinate a < n - 1, the position in simple of w_a - w_(a+1).
+
+        The differences are numbered in first-seen order, the order of simple,
+        so no root is built.
+        """
+        seen: dict[Vec, int] = {}
+        w = self.weights
+        return tuple(seen.setdefault(tuple(map(sub, u, v)), len(seen)) for u, v in zip(w, w[1:]))
 
     @cached_property
     def simple(self) -> tuple[int, ...]:

@@ -324,6 +324,39 @@ def test_large_output_bytes_pinned(capsys, command, output):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUT_DIGESTS[command, output]
 
 
+# sha256 of the stdout of the GSp, U and SL Levi shapes (cores, palindromes,
+# and the avoidance root split past the torus), in both formats
+LEVI_SHAPE_DIGESTS = {
+    ("coverage --group gsp4 --ell 5", "json"):
+        "e5253984f8d9790b7b90cd11cc8d4aec8bf3db27daa1c6f3afe0587944d05ce4",
+    ("coverage --group gsp4 --ell 5", "text"):
+        "0ec6d9c1a3505071737c7addc7993897e557d1762d5d2b589750b1fb5260e262",
+    ("coverage --group gsp6 --ell 5", "json"):
+        "24805f3e1aaab22c959af6b4f4da6e0360949e4001540b4bd8c2522767b9f0c1",
+    ("coverage --group gsp6 --ell 5", "text"):
+        "c5e0aa8ab6fbcba4e2505e591fe887c332087b010bef88a3fac5efd3b9ca7e80",
+    ("coverage --group u7", "json"):
+        "97227ae14bffcc43fb4cc49293ce22112064acc243d0bd39b33162f3470a85dc",
+    ("coverage --group u7", "text"):
+        "55eb6a9795db0c792620139d1233fc04c03e2236df8b2da672295f41d9c4ac13",
+    ("coverage --group sl9 --ell 5", "json"):
+        "9dab2b1ffaba24f27976d83e9dac5032c9d7070641ac4437c5f7e3ca2deb591e",
+    ("coverage --group sl9 --ell 5", "text"):
+        "4eb6c88c8753b082765bd2f8973ddf1a10670d61c40c4c2771e34264b63f70d9",
+    ("oracle avoidant --group gsp6 --q 3 --ell 7 --field-degree 2 --seed 1", "json"):
+        "7cfcf0d93084ab5101a3cc1205536868aa7e71eec4621d10f60425b0273fef97",
+    ("oracle avoidant --group gsp6 --q 3 --ell 7 --field-degree 2 --seed 1", "text"):
+        "5b59017c7f4640f784333a7a1397f40bae08979c76aed2a18dec194276996353",
+}
+
+
+@pytest.mark.parametrize("command,output", sorted(LEVI_SHAPE_DIGESTS))
+def test_levi_shape_bytes_pinned(capsys, command, output):
+    code, out, err = run(capsys, *command.split(), "--output", output)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == LEVI_SHAPE_DIGESTS[command, output]
+
+
 def test_json_output_never_renders_text(capsys, monkeypatch):
     def no_table(headers, rows):
         raise AssertionError("text table built under --output json")

@@ -11,7 +11,7 @@ from param_atlas.coverage import (
     simple_root_permutation,
     standard_levis,
 )
-from param_atlas.root_datum import ArithmeticContext, build_group
+from param_atlas.root_datum import ArithmeticContext, _datum, build_group
 
 CTX = ArithmeticContext(q=3, ell=5)
 
@@ -207,10 +207,11 @@ def test_coverage_report_matches_reference_scan():
 
 
 def test_regular_levi_is_the_first_regular_stable_levi():
+    # gsp8-12 lie past build_group's preset guard, so every datum comes from _datum
     presets = ([("GL", n) for n in range(1, 11)] + [("SL", n) for n in range(2, 11)]
-               + [("U", n) for n in range(2, 13)] + [("GSp", 4), ("GSp", 6)])
+               + [("U", n) for n in range(2, 13)] + [("GSp", n) for n in (4, 6, 8, 10, 12)])
     for family, n in presets:
-        datum = build_group(family, n)
+        datum = _datum(family, n)
         levis = stable_levis_in_order(datum)
         for part in partitions(n):
             expected = next((x for x in levis if x.jordan_contribution() == part), None)
@@ -243,3 +244,82 @@ def test_coverage_gl16_u16_keep_the_gl_and_parity_rules():
         part = v.entry.unipotent.partition
         odd_mult = sum(1 for d in set(part) if part.count(d) % 2 == 1)
         assert v.covered == (odd_mult <= 1), part
+
+
+# -- the Levi layout against the per-family arithmetic it replaced -------------
+
+
+def reference_layout(family, n, subset):
+    """(gl_blocks, core) by GL positions, or for GSp by the core arithmetic."""
+    s = set(subset)
+    npos, core = n, 0
+    if family == "GSp":
+        m = n // 2
+        npos = m
+        while npos - 1 in s:
+            npos -= 1
+        core = 2 * (m - npos)
+    blocks, pos = [], 0
+    while pos < npos:
+        end = pos
+        while end in s and end < npos - 1:
+            end += 1
+        blocks.append(end - pos + 1)
+        pos = end + 1
+    return tuple(blocks), core
+
+
+def reference_levi_fields(family, n, subset, stable):
+    blocks, core = reference_layout(family, n, subset)
+    if family == "GSp":
+        parts = [b for b in blocks for _ in (0, 1)] + ([core] if core else [])
+        n_simple = n // 2
+    else:
+        parts = list(blocks)
+        n_simple = n - 1
+    pieces = [f"GL{b}" for b in blocks] + ([f"GSp{core}"] if family == "GSp" and core else [])
+    shape = "x".join(pieces) if pieces else "T"
+    return {
+        "subset": tuple(subset),
+        "gl_blocks": blocks,
+        "core": core,
+        "jordan": tuple(sorted(parts, reverse=True)),
+        "full": len(subset) == n_simple,
+        "shape": shape,
+        "dict": {"subset": list(subset), "gamma_stable": stable, "blocks": list(blocks),
+                 "core": core if family == "GSp" else None, "shape": shape},
+    }
+
+
+LAYOUT_PRESETS = ([("GL", n) for n in range(1, 10)] + [("SL", n) for n in range(2, 10)]
+                  + [("U", n) for n in range(2, 11)] + [("GSp", n) for n in (4, 6, 8, 10, 12)])
+
+
+@pytest.mark.parametrize("family,n", LAYOUT_PRESETS)
+def test_levi_runs_match_the_per_family_layout(family, n):
+    datum = _datum(family, n)
+    levis = standard_levis(datum)
+    assert len(levis) == 2 ** len(datum.simple)
+    for levi in levis:
+        got = {
+            "subset": levi.subset,
+            "gl_blocks": levi.gl_blocks,
+            "core": levi.core,
+            "jordan": levi.jordan_contribution(),
+            "full": levi.is_full_group,
+            "shape": levi.describe(),
+            "dict": levi.to_dict(),
+        }
+        assert got == reference_levi_fields(family, n, levi.subset, levi.gamma_stable), (
+            family, n, levi.subset)
+
+
+def test_reports_build_no_roots():
+    # census and coverage read the Levi layout off the weights alone
+    for family, n, ell in [("GL", 16, None), ("U", 16, None), ("GSp", 6, None), ("SL", 9, 5)]:
+        datum = build_group(family, n)
+        ctx = ArithmeticContext(q=3, ell=ell)
+        coverage_report(datum, ctx)
+        census(datum, ctx)
+        built = {"spots", "roots", "coroots"} & set(vars(datum))
+        assert not built, (family, n, built)

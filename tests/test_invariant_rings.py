@@ -5,6 +5,7 @@ round-tripping through substitution, which is an independent expansion.
 """
 
 from fractions import Fraction
+import hashlib
 import itertools
 import random
 import time
@@ -30,7 +31,7 @@ from param_atlas.invariant_rings import (
     rewrite_in_generators,
 )
 from param_atlas.laurent import LaurentPolynomial
-from param_atlas.root_datum import build_group
+from param_atlas.root_datum import _datum, build_group, dominant_representative
 
 
 def expand_in_generators(gens: GeneratorSet, p: LaurentPolynomial) -> LaurentPolynomial:
@@ -131,13 +132,13 @@ def test_rewrite_rejects_weights_outside_the_generator_lattice():
     e1 = orbit_sum(datum, (1, 0))
     # det^2 in place of det: x1*x2 would need the exponent 1/2
     squared = GeneratorSet(datum, ("e1", "d"), (e1, LaurentPolynomial.monomial((2, 2))),
-                           (False, True), ((1, 0), (2, 2)), (0,), None)
+                           ((1, 0), (2, 2)), None)
     with pytest.raises(NotInvariantError, match="fractional"):
         rewrite_in_generators(datum, squared, orbit_sum(datum, (1, 1)))
     assert rewrite_in_generators(datum, squared, orbit_sum(datum, (2, 2))) == (
         LaurentPolynomial.variable(2, 1))
     # no invertible generator at all: x1*x2 is outside the cone of e1
-    bare = GeneratorSet(datum, ("e1",), (e1,), (False,), ((1, 0),), (0,), None)
+    bare = GeneratorSet(datum, ("e1",), (e1,), ((1, 0),), None)
     with pytest.raises(NotInvariantError, match="outside the generator cone"):
         rewrite_in_generators(datum, bare, orbit_sum(datum, (1, 1)))
 
@@ -341,3 +342,56 @@ def test_fixed_ring_point_counts_match_companion_matrices():
         assert pin is None or points == pin
     elapsed = time.perf_counter() - start
     assert elapsed < 3.0, f"exceeded 3.0s budget: {elapsed:.2f}s"
+
+
+# -- the generators read off the datum against the per-family table -----------
+
+
+def reference_generators(datum):
+    """(names, invertible, leading, similitude_index) from the per-family table."""
+    fam, n = datum.family, datum.n
+    partial = [tuple(sum(w[i] for w in datum.weights[:k]) for i in range(datum.torus_rank))
+               for k in range(1, n + 1)]
+    if fam in ("GL", "U"):
+        names = ("x",) if (fam, n) == ("GL", 1) else tuple(f"e{k}" for k in range(1, n + 1))
+        weights, invertible, sim = partial, tuple(k == n for k in range(1, n + 1)), None
+    elif fam == "SL":
+        names = ("c",) if n == 2 else tuple(f"c{k}" for k in range(1, n))
+        weights, invertible, sim = partial[:n - 1], (False,) * (n - 1), None
+    else:
+        m = n // 2
+        names = tuple(f"o{k}" for k in range(1, m + 1)) + ("nu",)
+        nu = tuple(a + b for a, b in zip(datum.weights[0], datum.weights[-1]))
+        weights, invertible, sim = partial[:m] + [nu], (False,) * m + (True,), m
+    leading = tuple(dominant_representative(datum, w) for w in weights)
+    return names, invertible, leading, sim
+
+
+GENERATOR_PRESETS = ([("GL", n) for n in range(1, 13)] + [("SL", n) for n in range(2, 13)]
+                     + [("U", n) for n in range(2, 13)]
+                     + [("GSp", n) for n in (4, 6, 8, 10, 12)])
+
+
+@pytest.mark.parametrize("family,n", GENERATOR_PRESETS)
+def test_generators_match_the_per_family_table(family, n):
+    datum = _datum(family, n)
+    gens = fundamental_invariants(datum)
+    got = (gens.names, gens.invertible, gens.leading, gens.similitude_index)
+    assert got == reference_generators(datum)
+    assert gens.staircase == tuple(range(len(datum.simple)))
+
+
+# sha256 of bg_presentation(_datum("GSp", n), q).canonical_text(), past the
+# preset guard
+GSP_RING_DIGESTS = {
+    (8, 2): "e545dde533de78bec2b462f2c4e8d44d3346bf83b3ed8e73da7289f81a812b89",
+    (8, 3): "0e2fff1d8d5d57e837a79653dd6916d5a54bf36f763941c2256370125cc9ea96",
+    (8, 5): "395f7daa5fac8b8f100fc16bf426803bf73318b2af5b90266f2fdbcde2aa2d1f",
+    (10, 2): "43f35597c81b6d777092696cc9abf297e932ff457b6d878c865ec7deacf23723",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(GSP_RING_DIGESTS))
+def test_large_gsp_presentations_pinned(n, q):
+    text = bg_presentation(_datum("GSp", n), q).canonical_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GSP_RING_DIGESTS[n, q]

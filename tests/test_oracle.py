@@ -9,7 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from param_atlas import gf
-from param_atlas._linalg import QQ, mat_rank
+from param_atlas._linalg import QQ, mat_rank, solve
 from param_atlas.budget import BudgetExceededError
 from param_atlas.census import (
     census,
@@ -23,6 +23,7 @@ from param_atlas.census import (
 from param_atlas.coverage import standard_levis
 from param_atlas.oracle import (
     _map_rows,
+    _root_split,
     all_automorphisms,
     avoidant_check,
     centralizer_order,
@@ -42,7 +43,7 @@ from param_atlas.oracle import (
     symplectic_form,
     twisted_orbits_bruteforce,
 )
-from param_atlas.root_datum import ArithmeticContext, build_group
+from param_atlas.root_datum import ArithmeticContext, _datum, build_group
 
 
 F5 = gf.FiniteField(5)
@@ -424,6 +425,35 @@ def test_census_twisted_counts_agree_with_bruteforce():
 
 
 # -- avoidance -----------------------------------------------------------------
+
+
+def reference_root_split(coefficients, subset):
+    """The split by each root's rational coefficients on the simple roots."""
+    inside, upper, lower = [], [], []
+    for idx, coeffs in enumerate(coefficients):
+        support = {i for i, c in enumerate(coeffs) if c != 0}
+        if support <= set(subset):
+            inside.append(idx)
+        elif all(c >= 0 for c in coeffs):
+            upper.append(idx)
+        else:
+            lower.append(idx)
+    return inside, upper, lower
+
+
+ROOT_SPLIT_PRESETS = ([("GL", n) for n in range(1, 10)] + [("SL", n) for n in range(2, 10)]
+                      + [("U", n) for n in range(2, 11)]
+                      + [("GSp", n) for n in (4, 6, 8, 10, 12)])
+
+
+@pytest.mark.parametrize("family,n", ROOT_SPLIT_PRESETS)
+def test_root_split_matches_the_simple_root_coefficients(family, n):
+    datum = _datum(family, n)
+    simple = [datum.roots[i] for i in datum.simple]
+    coefficients = [solve(QQ, simple, alpha) for alpha in datum.roots]
+    for levi in standard_levis(datum):
+        assert _root_split(datum, levi.subset) == reference_root_split(
+            coefficients, levi.subset), (family, n, levi.subset)
 
 
 def test_avoidant_gl2_closed_form_agreement():
