@@ -124,8 +124,11 @@ def regular_levi(datum: GroupDatum, partition: tuple[int, ...]) -> Optional[Stan
     of them lays the runs out in decreasing order.  GL, SL: the runs are the
     partition.  U_n and GSp need a palindrome, half + [odd-multiplicity part]
     + reversed(half), with half each part repeated mult // 2 times; two
-    odd-multiplicity parts leave no witness.
+    odd-multiplicity parts leave no witness.  A partition of a number other
+    than datum.n raises ValueError.
     """
+    if sum(partition) != datum.n:
+        raise ValueError(f"partition {tuple(partition)} does not sum to {datum.n} for {datum.name}")
     if datum.family in ("GL", "SL"):
         runs = sorted(partition, reverse=True)
     else:

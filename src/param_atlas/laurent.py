@@ -16,12 +16,7 @@ class LaurentPolynomial:
 
     def __init__(self, rank: int, terms: dict[Vec, int] | None = None):
         self.rank = rank
-        self.terms: dict[Vec, int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff:
-                    self.terms[tuple(exps)] = self.terms.get(tuple(exps), 0) + coeff
-            self.terms = {e: c for e, c in self.terms.items() if c}
+        self.terms: dict[Vec, int] = {tuple(e): c for e, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 

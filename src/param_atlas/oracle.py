@@ -10,14 +10,13 @@ check it against the all-pairs definition.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from . import gf
-from ._linalg import QQ, nullspace, solve
+from ._linalg import solve
 from .budget import check_budget
 from .census import ExplicitGroup
 from .coverage import StandardLevi
@@ -390,34 +389,23 @@ def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
 def lie_root_matrices(datum: GroupDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Integer root-space matrices, aligned with datum.roots.
 
-    GL/SL/U use gl_n entry matrices.  For GSp the one-dimensional root space
-    inside the symplectic Lie algebra is solved from X^T J + J X = 0 on the
-    root's spots, the entries (a, b) with w_a - w_b = alpha.
+    The root vector of alpha is the sum over its spots (a, b), the entries
+    with w_a - w_b = alpha, of s_b * s_y * E_ab, where y is the column of the
+    last spot.  GL/SL/U have one spot per root and every s_b = 1, so this is
+    a gl_n entry matrix.  For GSp, s_b = J[b][n-1-b] is the sign of the
+    antidiagonal form at b, which makes X^T J + J X = 0; the factor s_y puts
+    coefficient 1 on the last spot.
     """
     n = datum.n
     j = _antidiagonal_form(n) if datum.family == "GSp" else None
+    sign = [j[b][n - 1 - b] if j else 1 for b in range(n)]
     out = []
     for spots in datum.spots.values():
-        if j is None:
-            if len(spots) != 1:
-                raise RuntimeError("root weight is not a single gl entry")  # pragma: no cover
-            coeffs = [1]
-        else:
-            # (sum_k c_k E_k)^T J + J (sum_k c_k E_k) = 0, one row per entry (x, y)
-            rows = [
-                [(j[a][y] if x == b else 0) + (j[x][a] if y == b else 0) for (a, b) in spots]
-                for x in range(n)
-                for y in range(n)
-            ]
-            kernel = nullspace(QQ, rows)
-            if len(kernel) != 1:
-                raise RuntimeError("symplectic root space is not one-dimensional")  # pragma: no cover
-            denom = math.lcm(*(c.denominator for c in kernel[0]))
-            coeffs = [int(c * denom) for c in kernel[0]]
+        s_y = sign[spots[-1][1]]
         mat = [[0] * n for _ in range(n)]
-        for c, (a, b) in zip(coeffs, spots):
-            mat[a][b] = c
-        out.append(tuple(tuple(row) for row in mat))
+        for a, b in spots:
+            mat[a][b] = sign[b] * s_y
+        out.append(tuple(map(tuple, mat)))
     return tuple(out)
 
 

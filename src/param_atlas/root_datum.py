@@ -17,7 +17,9 @@ joins[a] is the position among them of w_a - w_(a+1), read off the weights
 alone.  A root with a spot (a, b) is the sum of the simple roots joins[a:b]
 when a < b and minus that of joins[b:a] when b < a.  The coroot of alpha is
 the sum of E_aa - E_bb over its spots, as a cocharacter: its pairing with w_a
-is its a-th diagonal entry.
+is its a-th diagonal entry.  A root is positive when its first spot (a, b)
+has a < b, and the height of a weight lambda is <lambda, 2 rho^vee>, its
+pairing with the sum of the positive coroots.
 
 The twisted presets carry a finite group Gamma acting through `frobenius_dual`;
 only Gamma of order 1 or 2 occurs (U_n uses the reversal-negation involution
@@ -29,10 +31,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-import math
-from operator import sub
+from operator import add, sub
 
-from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_mul, mat_rank, solve
+from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_mul, mat_rank
 
 SUPPORTED_PRESETS = "GL_n (n>=1), SL_n (n>=2), GSp_4, GSp_6, U_n (n>=2)"
 
@@ -292,32 +293,23 @@ def dominant_representative(datum: GroupDatum, weight: Vec) -> Vec:
 
 @lru_cache(maxsize=None)
 def _rho_covector(datum: GroupDatum) -> tuple[int, ...]:
-    """An integer coweight pairing to the same positive integer with every simple root.
+    """2 rho^vee, the sum of the positive coroots: it pairs to 2 with every simple root.
 
-    The rational solution of <alpha_i, rho> = 1 inside the span of the simple
-    coroots (via the Cartan matrix), scaled by the LCM of its denominators;
-    used as a strictly positive height functional for dominance-descent
-    rewriting.
+    A root is positive when its first spot (a, b) has a < b.  Used as a
+    strictly positive height functional for dominance-descent rewriting.
     """
-    simples = datum.simple_roots
-    cosimples = datum.simple_coroots
-    k = len(simples)
-    if k == 0:
-        return tuple(0 for _ in range(datum.torus_rank))
-    # column j of the Cartan matrix <alpha_i, alpha_j^vee>
-    cartan_cols = [[dot(simples[i], cosimples[j]) for i in range(k)] for j in range(k)]
-    coeffs = solve(QQ, cartan_cols, [1] * k)
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(
-        sum(int(c * scale) * cv[idx] for c, cv in zip(coeffs, cosimples))
-        for idx in range(datum.torus_rank))
+    rho = [0] * datum.torus_rank
+    for ((a, b), *_), covee in zip(datum.spots.values(), datum.coroots):
+        if a < b:
+            rho = list(map(add, rho, covee))
+    return tuple(rho)
 
 
 def height(datum: GroupDatum, weight: Vec) -> int:
-    """<weight, rho> for the integer rho covector.
+    """<weight, 2 rho^vee>.
 
-    Every simple root has the same positive height, so the dominant weight is
-    the unique highest weight of its W-orbit.
+    Every simple root has height 2, so the dominant weight is the unique
+    highest weight of its W-orbit.
     """
     return dot(weight, _rho_covector(datum))
 

@@ -199,6 +199,11 @@ EXTENSION_FIELD_DIGESTS = {
         "6aa62377516fce571e9d56ccbde134a099ddbb71b7839a4c8212dddbe00a53d7",
     "oracle jacobian --group gl2 --q 4 --ell 3 --field-degree 3 --trials 3 --seed 2":
         "2340b00a9090c6f990aedfbf8681ca7dcead25cb0e2f1c536d9cadc94d286c1e",
+    # avoidant pass verdicts over F_49, through the GSp root matrices
+    "oracle avoidant --group gsp6 --q 5 --ell 7 --field-degree 2 --seed 0":
+        "164ef0c550b45d7b1120a24f6b31f3b67e0eb744927bf3d40010815fa103a1ce",
+    "oracle avoidant --group gsp4 --q 3 --ell 7 --field-degree 2 --seed 0":
+        "07427ef472049b96d8b4902745c150b1c990f53a9a319849bd4818fa7196376a",
 }
 
 

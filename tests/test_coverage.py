@@ -233,6 +233,13 @@ def test_regular_levi_pinned_witnesses():
     assert regular_levi(build_group("GSp", 6), (4, 2)) is None
 
 
+def test_regular_levi_rejects_a_partition_of_the_wrong_size():
+    with pytest.raises(ValueError, match=r"^partition \(2, 2\) does not sum to 3 for GL3$"):
+        regular_levi(build_group("GL", 3), (2, 2))
+    with pytest.raises(ValueError, match=r"^partition \(3,\) does not sum to 4 for GSp4$"):
+        regular_levi(build_group("GSp", 4), (3,))
+
+
 def test_coverage_gl16_u16_keep_the_gl_and_parity_rules():
     ctx = ArithmeticContext(q=3, ell=5)
     gl = coverage_report(build_group("GL", 16), ctx)

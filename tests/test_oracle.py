@@ -9,7 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from param_atlas import gf
-from param_atlas._linalg import QQ, mat_rank, solve
+from param_atlas._linalg import QQ, mat_rank, nullspace, solve
 from param_atlas.budget import BudgetExceededError
 from param_atlas.census import (
     census,
@@ -22,6 +22,7 @@ from param_atlas.census import (
 )
 from param_atlas.coverage import standard_levis
 from param_atlas.oracle import (
+    _antidiagonal_form,
     _map_rows,
     _root_split,
     all_automorphisms,
@@ -545,6 +546,51 @@ def test_lie_root_matrices_are_distinct_primitive_and_symplectic(family, n):
             left = gf.mat_mul(F7, tuple(zip(*xf)), J)
             right = gf.mat_mul(F7, J, xf)
             assert all(F7.add(u, v) == 0 for lr, rr in zip(left, right) for u, v in zip(lr, rr))
+
+
+def reference_lie_root_matrices(datum):
+    """The rational solve the closed form replaced: entry matrices for GL/SL/U,
+    and for GSp the one-dimensional QQ-nullspace of X^T J + J X = 0 on the
+    root's spots, scaled by the LCM of its denominators."""
+    n = datum.n
+    j = _antidiagonal_form(n) if datum.family == "GSp" else None
+    out = []
+    for spots in datum.spots.values():
+        if j is None:
+            assert len(spots) == 1
+            coeffs = [1]
+        else:
+            rows = [
+                [(j[a][y] if x == b else 0) + (j[x][a] if y == b else 0) for (a, b) in spots]
+                for x in range(n)
+                for y in range(n)
+            ]
+            kernel = nullspace(QQ, rows)
+            assert len(kernel) == 1
+            denom = math.lcm(*(c.denominator for c in kernel[0]))
+            coeffs = [int(c * denom) for c in kernel[0]]
+        mat = [[0] * n for _ in range(n)]
+        for c, (a, b) in zip(coeffs, spots):
+            mat[a][b] = c
+        out.append(tuple(tuple(row) for row in mat))
+    return tuple(out)
+
+
+ROOT_MATRIX_PRESETS = ([("GL", n) for n in range(1, 13)] + [("SL", n) for n in range(2, 13)]
+                       + [("U", n) for n in range(2, 13)] + [("GSp", n) for n in range(4, 13, 2)])
+
+
+@pytest.mark.parametrize("family,n", ROOT_MATRIX_PRESETS)
+def test_lie_root_matrices_match_the_nullspace_solve(family, n):
+    datum = _datum(family, n)
+    mats = lie_root_matrices(datum)
+    assert mats == reference_lie_root_matrices(datum)
+    if family == "GSp":
+        J = _antidiagonal_form(n)
+        for x in mats:
+            # X^T J + J X = 0 over Z
+            assert all(sum(x[k][a] * J[k][b] + J[a][k] * x[k][b] for k in range(n)) == 0
+                       for a in range(n) for b in range(n))
 
 
 # Every preset of torus rank <= 6, as (family, n, is_member kind).

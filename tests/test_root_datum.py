@@ -14,9 +14,11 @@ from param_atlas.root_datum import (
     ArithmeticContext,
     UnsupportedPresetError,
     _datum,
+    _rho_covector,
     build_group,
     dominant_representative,
     frobenius_normalizes_weyl,
+    height,
     is_dominant,
     orbit_of_weight,
     prime_power_base,
@@ -260,6 +262,35 @@ def test_roots_are_weight_differences_in_coordinate_order(family, n):
     else:
         # type A keeps every w_a - w_b distinct, so the roots are all n(n-1) of them
         assert datum.roots == tuple(diffs)
+
+
+def reference_rho_covector(datum):
+    """The Cartan-system solve the closed form replaced: the rational rho with
+    <alpha_i, rho> = 1 in the span of the simple coroots, scaled by the LCM of
+    its denominators."""
+    simples, cosimples = datum.simple_roots, datum.simple_coroots
+    k = len(simples)
+    if k == 0:
+        return (0,) * datum.torus_rank
+    cartan_cols = [[dot(simples[i], cosimples[j]) for i in range(k)] for j in range(k)]
+    coeffs = solve(QQ, cartan_cols, [1] * k)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(sum(int(c * scale) * cv[idx] for c, cv in zip(coeffs, cosimples))
+                 for idx in range(datum.torus_rank))
+
+
+@pytest.mark.parametrize("family,n", sorted(ROOT_DATUM_DIGESTS))
+def test_rho_covector_is_twice_rho_vee(family, n):
+    datum = _datum(family, n)
+    rho = _rho_covector(datum)
+    assert all(dot(alpha, rho) == 2 for alpha in datum.simple_roots)
+    # the reference is rho^vee times the LCM of its denominators: 2 rho^vee where
+    # rho^vee has a half-integer coefficient (even n, every GSp), rho^vee for odd n
+    ref = reference_rho_covector(datum)
+    assert rho == (ref if family == "GSp" or n % 2 == 0 else tuple(2 * x for x in ref))
+    # a root is positive, of positive height, exactly when its first spot (a, b) has a < b
+    assert all((height(datum, alpha) > 0) == (a < b)
+               for alpha, ((a, b), *_) in datum.spots.items())
 
 
 # A public datum whose third weight is the sum of the first two: its simple
