@@ -15,7 +15,7 @@ Run:  python3 demos/oracle_tour.py
 import random
 
 from param_atlas import build_group, get_field
-from param_atlas.coverage import standard_levis
+from param_atlas.coverage import regular_levi
 from param_atlas.oracle import (
     avoidant_check,
     centralizer_order,
@@ -48,13 +48,13 @@ def main() -> None:
     # 3. avoidance: a diagonal solution for the (2,2) class always has the
     # eigenvalue ratio q somewhere, so it can never be avoidant
     gsp4 = build_group("GSp", 4)
-    torus = next(x for x in standard_levis(gsp4) if not x.subset)
+    torus = regular_levi(gsp4, (1,) * gsp4.n)
     m = int_matrix(f11, [[lam * q, 0, 0, 0], [0, lam, 0, 0], [0, 0, q, 0], [0, 0, 0, 1]])
     rep = avoidant_check(f11, gsp4, torus, m, q)
     print(f"avoidant at the diagonal solution: {rep.avoidant} ({rep.failures})")
 
     gl2 = build_group("GL", 2)
-    t2 = next(x for x in standard_levis(gl2) if not x.subset)
+    t2 = regular_levi(gl2, (1,) * gl2.n)
     f7 = get_field(7)
     rep = avoidant_check(f7, gl2, t2, ((2, 0), (0, 1)), 3)
     print(f"GL2 diag(2,1), q=3 over F_7: avoidant={rep.avoidant}, "

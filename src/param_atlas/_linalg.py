@@ -26,14 +26,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in cols)
-        for i in range(len(a))
-    )
-
-
 def dot(u: Vec, v: Vec) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
 

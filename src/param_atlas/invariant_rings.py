@@ -17,9 +17,9 @@ lam.  In the orbit basis an invertible generator (a W-fixed weight) shifts
 every weight, and the staircase part prod m_(omega_i)^(k_i) is memoized per
 exponent tuple and built one factor at a time (`_StaircaseProducts`).
 The elimination loop expands no Laurent polynomial and does integer
-arithmetic only (the height that orders the weights is an integer); the
-exponents of the invertible generators are solved from each distinct W-fixed
-shift once the loop is done.
+arithmetic only (the height that orders the weights is an integer).  Once
+the loop is done, each W-fixed shift is named by the exponent of the one
+invertible generator: its integer quotient by that generator's weight.
 
 The fixed ring of Fr^{-1}[q] acting on the invariant ring is presented by one
 relation per generator: rewrite(adams(Fr-pullback(g), q)) - g for each
@@ -36,16 +36,16 @@ import itertools
 import math
 from operator import add
 
-from ._linalg import QQ, Vec, dot, solve
+from ._linalg import Vec, dot
 from .budget import check_budget
 from .laurent import LaurentPolynomial
 from .root_datum import (
     GroupDatum,
+    _reflect,
     dominant_representative,
     height,
     is_dominant,
     orbit_of_weight,
-    reflection_matrix,
 )
 
 _REWRITE_CAP = 200_000
@@ -74,13 +74,9 @@ class GeneratorSet:
         return len(self.names)
 
     @cached_property
-    def staircase(self) -> tuple[int, ...]:
-        """Generator indices aligned with the simple roots; every later one is invertible."""
-        return tuple(range(len(self.datum.simple)))
-
-    @cached_property
     def invertible(self) -> tuple[bool, ...]:
-        return tuple(i >= len(self.staircase) for i in range(len(self.names)))
+        """The first generators align with the simple roots; every later one is invertible."""
+        return tuple(i >= len(self.datum.simple) for i in range(len(self.names)))
 
 
 def orbit_sum(datum: GroupDatum, weight: Vec) -> LaurentPolynomial:
@@ -90,9 +86,12 @@ def orbit_sum(datum: GroupDatum, weight: Vec) -> LaurentPolynomial:
 
 
 def non_invariance_witness(datum: GroupDatum, f: LaurentPolynomial) -> int | None:
-    """Index of a simple reflection moving f, or None when f is W-invariant."""
-    for i, ridx in enumerate(datum.simple):
-        if f.apply_matrix(reflection_matrix(datum, ridx)) != f:
+    """Index of a simple reflection moving f, or None when f is W-invariant.
+
+    A reflection is a bijection of the lattice, so no two terms collide.
+    """
+    for i, (alpha, cv) in enumerate(datum._simple_pairs):
+        if {_reflect(e, dot(e, cv), alpha): c for e, c in f.terms.items()} != f.terms:
             return i
     return None
 
@@ -121,7 +120,8 @@ def fundamental_invariants(datum: GroupDatum) -> GeneratorSet:
     sim = len(datum.simple) if datum.family == "GSp" else None
     polys = tuple(orbit_sum(datum, w) for w in weights)
     for g in polys:
-        assert non_invariance_witness(datum, g) is None
+        if non_invariance_witness(datum, g) is not None:
+            raise RuntimeError(f"generator {g} of {datum.name} is not W-invariant")
     leading = tuple(dominant_representative(datum, w) for w in weights)
     return GeneratorSet(datum, names, polys, leading, sim)
 
@@ -145,10 +145,10 @@ def _staircase_split(gens: GeneratorSet, lam: Vec) -> tuple[Vec, Vec]:
     """
     stair = []
     shift = list(lam)
-    for cv, gi in zip(gens.datum.simple_coroots, gens.staircase):
+    for cv, weight in zip(gens.datum.simple_coroots, gens.leading):
         k = dot(lam, cv)
         stair.append(k)
-        for idx, entry in enumerate(gens.leading[gi]):
+        for idx, entry in enumerate(weight):
             shift[idx] -= k * entry
     return tuple(stair), tuple(shift)
 
@@ -157,36 +157,27 @@ def _generator_monomials(gens: GeneratorSet, found: dict[tuple[Vec, Vec], int]
                          ) -> dict[Vec, int]:
     """Turn {(staircase exponents, W-fixed shift): coeff} into generator monomials.
 
-    The shift must be an integer combination of the invertible generators'
-    weights; it is solved once per distinct shift.
+    At most one generator follows the staircase, the invertible weight d, so
+    the shift must be c * d for an integer c, read at the first k with d[k] != 0.
     """
-    inv_indices = [i for i, inv in enumerate(gens.invertible) if inv]
-    cols = [gens.leading[i] for i in inv_indices]
-    solved: dict[Vec, list[int]] = {}
+    staircase = len(gens.datum.simple)
+    if len(gens) > staircase + 1:
+        raise ValueError(f"expected at most one invertible generator, got {len(gens) - staircase}")
+    d = gens.leading[staircase] if len(gens) > staircase else None
+    k = None if d is None else next(k for k, x in enumerate(d) if x)
     out = {}
     for (stair, shift), coeff in found.items():
-        exps = [0] * len(gens)
-        for gi, k in zip(gens.staircase, stair):
-            exps[gi] = k
-        if inv_indices:
-            if shift not in solved:
-                solved[shift] = _solve_integer(cols, shift)
-            for i, c in zip(inv_indices, solved[shift]):
-                exps[i] = c
-        elif any(shift):
-            raise NotInvariantError(f"weight {shift} is outside the generator cone")
-        out[tuple(exps)] = coeff
+        if d is None:
+            if any(shift):
+                raise NotInvariantError(f"weight {shift} is outside the generator cone")
+            out[stair] = coeff
+        elif any(s * d[k] != shift[k] * x for s, x in zip(shift, d)):
+            raise NotInvariantError(f"weight {shift} is outside the generator lattice")
+        elif shift[k] % d[k]:
+            raise NotInvariantError(f"weight {shift} needs fractional generator exponents")
+        else:
+            out[stair + (shift[k] // d[k],)] = coeff
     return out
-
-
-def _solve_integer(cols: list[Vec], target: Vec) -> list[int]:
-    """Solve sum c_j * cols[j] = target with integer c_j (cols independent)."""
-    coeffs = solve(QQ, cols, target)
-    if coeffs is None:
-        raise NotInvariantError("weight is outside the generator lattice")
-    if any(c.denominator != 1 for c in coeffs):
-        raise NotInvariantError("weight needs fractional generator exponents")
-    return [int(c) for c in coeffs]
 
 
 class _StaircaseProducts:
@@ -269,11 +260,14 @@ def rewrite_in_generators(datum: GroupDatum, gens: GeneratorSet,
     A step is recorded by its staircase exponents and W-fixed shift; they are
     named as generator monomials at the end.
     """
+    if f.rank != datum.torus_rank:
+        raise ValueError(f"polynomial has rank {f.rank}, but {datum.name} has torus rank "
+                         f"{datum.torus_rank}")
     bad = non_invariance_witness(datum, f)
     if bad is not None:
         raise NotInvariantError(
             f"polynomial is not W-invariant: moved by simple reflection s{bad + 1}")
-    products = _staircase_products(datum, tuple(gens.leading[i] for i in gens.staircase))
+    products = _staircase_products(datum, gens.leading[:len(datum.simple)])
     work = {lam: c for lam, c in f.terms.items() if is_dominant(datum, lam)}
     # max-heap on (height, lam); entries whose weight has cancelled are skipped
     heap = [(-height(datum, lam), tuple(-x for x in lam), lam) for lam in work]

@@ -143,17 +143,6 @@ class LaurentPolynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, values):
-        """Evaluate at invertible scalars (Fraction, float, ...)."""
-        total = 0
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(values, e):
-                if k:
-                    term = term * v ** k
-            total = total + term
-        return total
-
     def evaluate_in_field(self, field, values: tuple[int, ...]) -> int:
         """Evaluate at encoded elements of a FiniteField; values must be units."""
         total = 0

@@ -4,8 +4,8 @@ Everything here is an independent shadow of the symbolic modules: exhaustive
 commutation solving, twisted-orbit enumeration, eigenvalue avoidance, and
 Jacobian rank probes.  Nothing imports results from the census or the ring
 presentations except as the object under test; twisted-orbit enumeration uses
-`ExplicitGroup`'s homomorphism test to choose one-pass orbits, and the tests
-check it against the all-pairs definition.
+`ExplicitGroup`'s homomorphism test to refuse twists that are not
+automorphisms, and the tests check it against the all-pairs definition.
 """
 
 from __future__ import annotations
@@ -261,40 +261,24 @@ def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str,
                               budget: Optional[int] = None) -> int:
     """Number of orbits of a -> g a twist(g)^-1, by enumeration over all of G.
 
-    When the twist is an automorphism this is a group action, so the orbit of
-    a is its image under every g, found in one pass: |G| steps per orbit.  Any
-    other bijection of the labels gets the closure under every move, which
-    joins a with g a twist(g)^-1 until nothing new appears.
+    The twist must be an automorphism, as for `twisted_class_count`.  Then
+    this is a group action, so the orbit of a is its image under every g,
+    found in one pass: |G| steps per orbit.
     """
     check_budget(group.order * group.order, "twisted orbit enumeration", budget)
     images = tuple(range(group.order)) if twist is None else group.twist_indices(twist)
-    if images is None:
-        raise ValueError("twist is not a bijection of the group's labels")
+    # the identity needs no test: it is always an automorphism
+    if twist is not None and (images is None or not group._respects(images)):
+        raise ValueError("twist is not an automorphism of the group")
     table = group.table
     twist_inv = [group.inverse[t] for t in images]
     count = 0
-    if twist is None or group._respects(images):
-        seen = bytearray(group.order)
-        for a in range(group.order):
-            if not seen[a]:
-                count += 1
-                for row, t in zip(table, twist_inv):
-                    seen[table[row[a]][t]] = 1
-        return count
-    remaining = set(range(group.order))
-    while remaining:
-        start = next(iter(remaining))
-        orbit = {start}
-        stack = [start]
-        while stack:
-            a = stack.pop()
+    seen = bytearray(group.order)
+    for a in range(group.order):
+        if not seen[a]:
+            count += 1
             for row, t in zip(table, twist_inv):
-                b = table[row[a]][t]
-                if b not in orbit:
-                    orbit.add(b)
-                    stack.append(b)
-        remaining -= orbit
-        count += 1
+                seen[table[row[a]][t]] = 1
     return count
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, sub
 
-from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_mul, mat_rank
+from ._linalg import QQ, Mat, Vec, dot, mat_id, mat_rank, mat_vec
 
 SUPPORTED_PRESETS = "GL_n (n>=1), SL_n (n>=2), GSp_4, GSp_6, U_n (n>=2)"
 
@@ -240,17 +240,6 @@ def build_group(family: str, n: int) -> GroupDatum:
         f"unsupported preset {family}_{n}; supported: {SUPPORTED_PRESETS}")
 
 
-def reflection_matrix(datum: GroupDatum, root_index: int) -> Mat:
-    """Matrix of s_alpha(x) = x - <x, alpha^vee> alpha on the character lattice."""
-    alpha = datum.roots[root_index]
-    covee = datum.coroots[root_index]
-    r = datum.torus_rank
-    return tuple(
-        tuple((1 if i == j else 0) - covee[j] * alpha[i] for j in range(r))
-        for i in range(r)
-    )
-
-
 def orbit_of_weight(datum: GroupDatum, weight: Vec) -> tuple[Vec, ...]:
     """W-orbit of a weight, by closure under the simple reflections only.
 
@@ -318,8 +307,13 @@ def frobenius_normalizes_weyl(datum: GroupDatum) -> bool:
     """Whether F W F^-1 = W for the Frobenius dual F.
 
     W is generated by the simple reflections and its reflections are the
-    s_beta, so this holds exactly when every F s_i = s_beta F for some root beta.
+    s_beta, so this holds exactly when every F s_i = s_beta F for some root
+    beta.  Both sides are linear, so they are compared on the standard basis.
     """
     frob = datum.frobenius_dual
-    s_beta_f = {mat_mul(reflection_matrix(datum, b), frob) for b in range(len(datum.roots))}
-    return all(mat_mul(frob, reflection_matrix(datum, i)) in s_beta_f for i in datum.simple)
+    basis = mat_id(datum.torus_rank)
+    f_basis = [mat_vec(frob, e) for e in basis]
+    s_beta_f = {tuple(_reflect(v, dot(v, cv), beta) for v in f_basis)
+                for beta, cv in zip(datum.roots, datum.coroots)}
+    return all(tuple(mat_vec(frob, _reflect(e, dot(e, cv), alpha)) for e in basis) in s_beta_f
+               for alpha, cv in zip(datum.simple_roots, datum.simple_coroots))

@@ -4,21 +4,27 @@ The rewrite direction (torus polynomial -> generator symbols) is checked by
 round-tripping through substitution, which is an independent expansion.
 """
 
+import ast
 from fractions import Fraction
 import hashlib
 import itertools
+from operator import add
+import pathlib
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import param_atlas
 from param_atlas import gf
-from param_atlas._linalg import QQ, mat_rank
+import param_atlas.invariant_rings as ir
+from param_atlas._linalg import QQ, mat_rank, mat_vec, solve
 from param_atlas.budget import BudgetExceededError
 from param_atlas.invariant_rings import (
     GeneratorSet,
     NotInvariantError,
+    _generator_monomials,
     _staircase_products,
     adams,
     bg_presentation,
@@ -39,15 +45,17 @@ def expand_in_generators(gens: GeneratorSet, p: LaurentPolynomial) -> LaurentPol
     return p.substitute(list(gens.polys))
 
 
-def generator_jacobian_rank(datum, point: list[Fraction]) -> int:
-    """Rank of the generator Jacobian at a rational torus point.
+def generator_jacobian_rank(datum, point: tuple[int, ...]) -> int:
+    """Rank of the generator Jacobian at a torus point, over F_65521.
 
-    Full rank at one point certifies algebraic independence of the generators.
+    The rank mod p is at most the rank over Q, so full rank at one point
+    certifies algebraic independence of the generators.
     """
+    field = gf.get_field(65521)
     gens = fundamental_invariants(datum)
-    rows = [[Fraction(g.derivative(j).evaluate(point)) for j in range(datum.torus_rank)]
+    rows = [[g.derivative(j).evaluate_in_field(field, point) for j in range(datum.torus_rank)]
             for g in gens.polys]
-    return mat_rank(QQ, rows)
+    return mat_rank(field, rows)
 
 
 def test_orbit_sum_gl2():
@@ -92,7 +100,7 @@ def test_generators_are_invariant():
 def test_generator_jacobian_full_rank():
     # full rank at one rational point certifies algebraic independence;
     # the rank can drop on special divisors, so pick a generic-looking point
-    primes = [Fraction(p) for p in (2, 3, 5, 7)]
+    primes = (2, 3, 5, 7)
     for family, n in [("GL", 2), ("GL", 3), ("SL", 3), ("GSp", 4), ("GSp", 6), ("U", 2)]:
         datum = build_group(family, n)
         point = primes[:datum.torus_rank]
@@ -141,17 +149,25 @@ def test_rewrite_rejects_weights_outside_the_generator_lattice():
     bare = GeneratorSet(datum, ("e1",), (e1,), ((1, 0),), None)
     with pytest.raises(NotInvariantError, match="outside the generator cone"):
         rewrite_in_generators(datum, bare, orbit_sum(datum, (1, 1)))
+    # x1 in place of det: the W-fixed x1*x2 is no multiple of (1, 0)
+    skew = GeneratorSet(datum, ("e1", "d"), (e1, LaurentPolynomial.variable(2, 0)),
+                        ((1, 0), (1, 0)), None)
+    with pytest.raises(NotInvariantError, match="outside the generator lattice"):
+        rewrite_in_generators(datum, skew, orbit_sum(datum, (1, 1)))
+    # the invertible exponent may be negative
+    assert rewrite_in_generators(datum, squared, orbit_sum(datum, (-2, -2))) == (
+        LaurentPolynomial.monomial((0, -1)))
 
 
 @pytest.mark.parametrize("family,n", [("GL", 3), ("SL", 3), ("U", 4), ("GSp", 4), ("GSp", 6)])
 def test_staircase_products_in_orbit_basis_expand_to_laurent_products(family, n):
     datum = build_group(family, n)
     gens = fundamental_invariants(datum)
-    weights = tuple(gens.leading[i] for i in gens.staircase)
+    weights = gens.leading[:len(datum.simple)]
     products = _staircase_products(datum, weights)
     for stair in itertools.product(range(3), repeat=len(weights)):
         expected = LaurentPolynomial.constant(datum.torus_rank, 1)
-        for gi, k in zip(gens.staircase, stair):
+        for gi, k in enumerate(stair):
             expected = expected * gens.polys[gi] ** k
         got = LaurentPolynomial.zero(datum.torus_rank)
         for lam, c in products.product(stair).items():
@@ -378,7 +394,6 @@ def test_generators_match_the_per_family_table(family, n):
     gens = fundamental_invariants(datum)
     got = (gens.names, gens.invertible, gens.leading, gens.similitude_index)
     assert got == reference_generators(datum)
-    assert gens.staircase == tuple(range(len(datum.simple)))
 
 
 # sha256 of bg_presentation(_datum("GSp", n), q).canonical_text(), past the
@@ -395,3 +410,161 @@ GSP_RING_DIGESTS = {
 def test_large_gsp_presentations_pinned(n, q):
     text = bg_presentation(_datum("GSp", n), q).canonical_text()
     assert hashlib.sha256(text.encode()).hexdigest() == GSP_RING_DIGESTS[n, q]
+
+
+def test_rewrite_rejects_more_than_one_invertible_generator():
+    datum = build_group("GL", 2)
+    det = LaurentPolynomial.monomial((1, 1))
+    two = GeneratorSet(datum, ("e1", "d", "d2"), (orbit_sum(datum, (1, 0)), det, det * det),
+                       ((1, 0), (1, 1), (2, 2)), None)
+    with pytest.raises(ValueError, match="at most one invertible generator, got 2"):
+        rewrite_in_generators(datum, two, det)
+
+
+def test_rewrite_rejects_a_polynomial_of_the_wrong_rank():
+    datum = build_group("GL", 3)
+    gens = fundamental_invariants(datum)
+    for rank in (2, 4):
+        with pytest.raises(ValueError, match=f"rank {rank}, but GL3 has torus rank 3"):
+            rewrite_in_generators(datum, gens, LaurentPolynomial.constant(rank, 1))
+
+
+def test_fundamental_invariants_reject_a_non_invariant_generator(monkeypatch):
+    monkeypatch.setattr(ir, "orbit_sum", lambda datum, w: LaurentPolynomial.monomial(w))
+    with pytest.raises(RuntimeError, match="is not W-invariant"):
+        fundamental_invariants.__wrapped__(build_group("GL", 2))
+
+
+def test_package_holds_no_assert_statement():
+    # python -O drops assert statements, so checks are explicit raises
+    root = pathlib.Path(param_atlas.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# -- the one path per operation against the matrix and QQ forms --------------
+
+
+def reference_reflection_matrix(datum, root_index):
+    """s_alpha(x) = x - <x, alpha^vee> alpha as an r x r matrix."""
+    alpha = datum.roots[root_index]
+    covee = datum.coroots[root_index]
+    r = datum.torus_rank
+    return tuple(
+        tuple((1 if i == j else 0) - covee[j] * alpha[i] for j in range(r))
+        for i in range(r)
+    )
+
+
+def reference_witness(datum, f):
+    for i, ridx in enumerate(datum.simple):
+        if f.apply_matrix(reference_reflection_matrix(datum, ridx)) != f:
+            return i
+    return None
+
+
+def reference_solve_integer(cols, target):
+    """The integer c with sum c_j * cols[j] = target, by a solve over QQ."""
+    coeffs = solve(QQ, cols, target)
+    if coeffs is None:
+        raise NotInvariantError("weight is outside the generator lattice")
+    if any(Fraction(c).denominator != 1 for c in coeffs):
+        raise NotInvariantError("weight needs fractional generator exponents")
+    return [int(c) for c in coeffs]
+
+
+def _parabolic_orbit_sum(datum, weight, subset):
+    """Sum of x^mu over the orbit of the weight under the simple reflections in subset."""
+    mats = [reference_reflection_matrix(datum, datum.simple[i]) for i in subset]
+    seen, stack = {weight}, [weight]
+    while stack:
+        v = stack.pop()
+        for m in mats:
+            u = mat_vec(m, v)
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return LaurentPolynomial(datum.torus_rank, {mu: 1 for mu in seen})
+
+
+@pytest.mark.parametrize("family,n", GENERATOR_PRESETS)
+def test_non_invariance_witness_matches_the_reflection_matrices(family, n):
+    datum = _datum(family, n)
+    for g in fundamental_invariants(datum).polys:
+        assert non_invariance_witness(datum, g) is None is reference_witness(datum, g)
+    rng = random.Random(f"{family}{n}")
+    rank, simple = datum.torus_rank, range(len(datum.simple))
+    for _ in range(12):
+        f = LaurentPolynomial(rank, {tuple(rng.randint(-2, 2) for _ in range(rank)):
+                                     rng.randint(-3, 3) for _ in range(rng.randint(0, 4))})
+        assert non_invariance_witness(datum, f) == reference_witness(datum, f)
+        # invariant under a random set of simple reflections, so the witness
+        # is the first one outside it that moves the weight; a sum of two
+        # coordinate weights keeps the orbit under n^2 terms
+        subset = [i for i in simple if rng.random() < 0.7]
+        weight = tuple(map(add, *rng.sample(datum.weights, 2))) if n > 1 else datum.weights[0]
+        f = _parabolic_orbit_sum(datum, weight, subset) * rng.randint(1, 3)
+        assert non_invariance_witness(datum, f) == reference_witness(datum, f)
+
+
+@pytest.mark.parametrize("family,n", GENERATOR_PRESETS)
+def test_invertible_exponent_matches_the_rational_solve(family, n):
+    datum = _datum(family, n)
+    gens = fundamental_invariants(datum)
+    rng = random.Random(f"{family}{n}")
+    stair = (0,) * len(datum.simple)
+    if not any(gens.invertible):
+        # SL_n: only the zero shift has a name
+        assert _generator_monomials(gens, {(stair, (0,) * datum.torus_rank): 1}) == {stair: 1}
+        for _ in range(10):
+            shift = tuple(rng.randint(-2, 2) for _ in range(datum.torus_rank))
+            if any(shift):
+                with pytest.raises(NotInvariantError, match="outside the generator cone"):
+                    _generator_monomials(gens, {(stair, shift): 1})
+        return
+    d = gens.leading[-1]
+    shifts = [tuple(c * x for x in d) for c in range(-3, 4)]
+    shifts += [tuple(rng.randint(-2, 2) for _ in d) for _ in range(20)]
+    shifts += [tuple(c * x + (k == j) for j, x in enumerate(d))
+               for c in (-1, 2) for k in range(len(d))]
+    for shift in shifts:
+        try:
+            expected = reference_solve_integer([d], shift)
+        except NotInvariantError as exc:
+            with pytest.raises(NotInvariantError, match=str(exc).removeprefix("weight ")):
+                _generator_monomials(gens, {(stair, shift): 1})
+        else:
+            assert _generator_monomials(gens, {(stair, shift): 1}) == {stair + (expected[0],): 1}
+
+
+BG_RING_GRID = ([("GL", n) for n in range(1, 5)] + [("SL", n) for n in range(2, 5)]
+                + [("U", n) for n in range(2, 5)] + [("GSp", 4), ("GSp", 6)])
+
+
+def test_bg_ring_grid_pinned_and_its_shifts_match_the_rational_solve(monkeypatch):
+    seen = []
+    monomials = ir._generator_monomials
+
+    def recording(gens, found):
+        seen.append((gens, list(found)))
+        return monomials(gens, found)
+
+    monkeypatch.setattr(ir, "_generator_monomials", recording)
+    texts = [f"{fam}{n} q={q}\n" + bg_presentation(build_group(fam, n), q).canonical_text()
+             for fam, n in BG_RING_GRID for q in (2, 3, 4, 5, 7, 8, 9)]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "9db0cad6616f882422ff55eec9ab1fda196ceeabbfea5b5d66a0478c21c33cfc"
+    shifts = 0
+    for gens, keys in seen:
+        staircase = len(gens.datum.simple)
+        for stair, shift in keys:
+            got = monomials(gens, {(stair, shift): 1})
+            if any(gens.invertible):
+                expected = reference_solve_integer([gens.leading[staircase]], shift)
+                assert got == {stair + tuple(expected): 1}
+                shifts += 1
+            else:
+                assert not any(shift) and got == {stair: 1}
+    assert shifts > 0

@@ -81,7 +81,8 @@ def test_derivative():
 
 def test_evaluate_fraction_and_field_agree_mod_p():
     p = lp(2, {(2, -1): 3, (0, 1): -1})
-    val = p.evaluate([Fraction(2), Fraction(3)])
+    point = (Fraction(2), Fraction(3))
+    val = sum(c * point[0] ** e[0] * point[1] ** e[1] for e, c in p.terms.items())
     f = get_field(7)
     fval = p.evaluate_in_field(f, (2, 3))
     assert fval == (val.numerator * pow(val.denominator, -1, 7)) % 7

@@ -8,7 +8,6 @@ import pytest
 
 from param_atlas._linalg import QQ, mat_det, mat_inverse, mat_rank, nullspace, solve
 from param_atlas.gf import get_field
-from param_atlas.invariant_rings import NotInvariantError, _solve_integer
 
 FIELDS = [QQ, get_field(7), get_field(3, 2)]
 
@@ -108,11 +107,3 @@ def test_det_matches_leibniz_expansion(field):
         for _ in range(40):
             rows = _matrix(field, rng, size, size)
             assert mat_det(field, rows) == _leibniz_det(field, rows), rows
-
-
-def test_solve_integer_branches():
-    assert _solve_integer([(1, 1), (0, 1)], (2, 5)) == [2, 3]
-    with pytest.raises(NotInvariantError, match="fractional"):
-        _solve_integer([(2, 0)], (1, 0))
-    with pytest.raises(NotInvariantError, match="outside the generator lattice"):
-        _solve_integer([(1, 0)], (0, 1))

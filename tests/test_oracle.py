@@ -337,11 +337,19 @@ def _orbits_union_find(group, images):
 
 
 def test_bruteforce_orbits_match_definition_on_every_bijection():
+    # automorphisms agree with the definition; every other bijection is refused
     z2 = cyclic_group(2)
     for g in (cyclic_group(4), direct_product(z2, z2), symmetric_group_3()):
+        automorphisms = 0
         for images in permutations(range(g.order)):
             twist = {g.labels[a]: g.labels[b] for a, b in enumerate(images)}
-            assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, images)
+            if g.is_automorphism(twist):
+                automorphisms += 1
+                assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, images)
+            else:
+                with pytest.raises(ValueError, match="not an automorphism"):
+                    twisted_orbits_bruteforce(g, twist)
+        assert automorphisms == len(all_automorphisms(g))
 
 
 @pytest.mark.parametrize("group", [
@@ -351,20 +359,20 @@ def test_bruteforce_orbits_match_definition_on_every_bijection():
     direct_product(cyclic_group(4), cyclic_group(4)),
 ], ids=["Q8", "S3xZ2", "Z2^3", "Z4xZ4"])
 def test_one_pass_orbits_match_definition_on_every_automorphism(group):
-    # an automorphism twist takes the one-pass branch of the brute force
     for twist in all_automorphisms(group):
         images = group.twist_indices(twist)
         assert twisted_orbits_bruteforce(group, twist) == _orbits_union_find(group, images)
 
 
-def test_bruteforce_orbits_close_over_all_of_g_for_non_homomorphisms():
-    # This bijection fixes the generator 1 of Z/4 but is not a homomorphism.
-    # Closing over the generator alone would leave all 4 elements apart; the
-    # moves by 2 and 3 join everything.
+def test_bruteforce_orbits_reject_non_homomorphisms():
+    # This bijection fixes the generator 1 of Z/4 but is not a homomorphism,
+    # so a -> g a twist(g)^-1 is no group action; the census refuses it too.
     g = cyclic_group(4)
-    twist = {"0": "0", "1": "1", "2": "3", "3": "2"}
-    assert not g.is_automorphism(twist)
-    assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, (0, 1, 3, 2)) == 1
+    for twist in ({"0": "0", "1": "1", "2": "3", "3": "2"}, {"0": "1", "1": "0"}):
+        assert not g.is_automorphism(twist)
+        for count in (twisted_orbits_bruteforce, twisted_class_count):
+            with pytest.raises(ValueError, match="twist is not an automorphism of the group"):
+                count(g, twist)
 
 
 def test_all_automorphisms_known_orders():

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -121,6 +122,48 @@ def test_frobenius_normalizes_weyl_inner_swap_and_shear():
     gl2 = build_group("GL", 2)
     shear = ((1, 1), (0, 1))
     assert not frobenius_normalizes_weyl(dataclasses.replace(gl2, frobenius_dual=shear))
+
+
+def reference_normalizes_weyl(datum) -> bool:
+    """F W F^-1 = W, with every reflection as an r x r matrix."""
+    def reflection(i):
+        alpha, covee, r = datum.roots[i], datum.coroots[i], datum.torus_rank
+        return tuple(tuple((1 if a == b else 0) - covee[b] * alpha[a] for b in range(r))
+                     for a in range(r))
+
+    def mul(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+    frob = datum.frobenius_dual
+    s_beta_f = {mul(reflection(b), frob) for b in range(len(datum.roots))}
+    return all(mul(frob, reflection(i)) in s_beta_f for i in datum.simple)
+
+
+REFERENCE_PRESETS = ([("GL", n) for n in range(1, 13)] + [("SL", n) for n in range(2, 13)]
+                     + [("U", n) for n in range(2, 13)]
+                     + [("GSp", n) for n in (4, 6, 8, 10, 12)])
+
+
+def test_frobenius_normalizes_weyl_matches_the_reflection_matrices():
+    for family, n in REFERENCE_PRESETS:
+        datum = _datum(family, n)
+        assert frobenius_normalizes_weyl(datum) is reference_normalizes_weyl(datum) is True
+    gl3, gl2 = build_group("GL", 3), build_group("GL", 2)
+    twists = [(gl3, ((0, 1, 0), (1, 0, 0), (0, 0, 1))), (gl2, ((1, 1), (0, 1))),
+              (gl2, ((0, 1), (1, 0))), (gl2, ((-1, 0), (0, -1))), (gl2, ((2, 0), (0, 1)))]
+    rng = random.Random(19)
+    for family, n in (("GL", 3), ("SL", 3), ("U", 3), ("GSp", 4)):
+        datum = build_group(family, n)
+        r = datum.torus_rank
+        twists += [(datum, tuple(tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(r)))
+                   for _ in range(20)]
+    verdicts = set()
+    for datum, frob in twists:
+        twisted = dataclasses.replace(datum, frobenius_dual=frob)
+        verdict = frobenius_normalizes_weyl(twisted)
+        assert verdict is reference_normalizes_weyl(twisted), (datum.name, frob)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_dominant_representative_gl3():
