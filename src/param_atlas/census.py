@@ -130,9 +130,11 @@ class ExplicitGroup:
     counting is run over every automorphism of every small group in the test
     suite, so the per-call cost matters.  `generators` takes each element in
     label order that lies outside the subgroup the earlier ones generate.
+    `automorphism_images` is the one check that a twist is an automorphism.
     """
 
-    __slots__ = ("name", "labels", "table", "inverse", "abelian", "generators", "_index")
+    __slots__ = ("name", "labels", "table", "inverse", "abelian", "generators", "_index",
+                 "_accepted")
 
     def __init__(self, name: str, labels: tuple[str, ...], table: Sequence[Sequence[int]]):
         self.name = name
@@ -164,6 +166,7 @@ class ExplicitGroup:
                         closure.add(y)
                         frontier.append(y)
         self.generators = tuple(gens)
+        self._accepted = None
 
     def __repr__(self) -> str:
         return f"ExplicitGroup({self.name}, order {self.order})"
@@ -206,9 +209,31 @@ class ExplicitGroup:
                     return False
         return True
 
-    def is_automorphism(self, twist: Mapping[str, str]) -> bool:
+    def automorphism_images(self, twist: Optional[Mapping[str, str]]) -> tuple[int, ...]:
+        """The twist as a tuple of image indices, None as the identity.
+
+        Raises ValueError unless the twist is an automorphism.  The last twist
+        accepted is kept as a private copy with its images and matched by
+        value: callers hand the same twist to the census count and then to
+        the brute force, and the second check costs one dict comparison.
+        """
+        if twist is None:
+            return tuple(range(self.order))
+        accepted = self._accepted
+        if accepted is not None and accepted[0] == twist:
+            return accepted[1]
         images = self.twist_indices(twist)
-        return images is not None and self._respects(images)
+        if images is None or not self._respects(images):
+            raise ValueError("twist is not an automorphism of the group")
+        self._accepted = (dict(twist), images)
+        return images
+
+    def is_automorphism(self, twist: Mapping[str, str]) -> bool:
+        try:
+            self.automorphism_images(twist)
+        except ValueError:
+            return False
+        return True
 
     def element_order(self, a: str) -> int:
         i = x = self._index[a]
@@ -314,10 +339,7 @@ def twisted_class_count(group: ExplicitGroup, twist: Optional[Mapping[str, str]]
     string order.
     """
     n = group.order
-    images = tuple(range(n)) if twist is None else group.twist_indices(twist)
-    # the identity needs no test: it is always an automorphism
-    if twist is not None and (images is None or not group._respects(images)):
-        raise ValueError("twist is not an automorphism of the group")
+    images = group.automorphism_images(twist)
     table = group.table
     twist_inv = [group.inverse[t] for t in images]  # g -> twist(g)^-1
     image = {table[g][t] for g, t in enumerate(twist_inv)}

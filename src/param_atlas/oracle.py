@@ -3,9 +3,10 @@
 Everything here is an independent shadow of the symbolic modules: exhaustive
 commutation solving, twisted-orbit enumeration, eigenvalue avoidance, and
 Jacobian rank probes.  Nothing imports results from the census or the ring
-presentations except as the object under test; twisted-orbit enumeration uses
-`ExplicitGroup`'s homomorphism test to refuse twists that are not
-automorphisms, and the tests check it against the all-pairs definition.
+presentations except as the object under test; twisted-orbit enumeration
+refuses twists that are not automorphisms through
+`ExplicitGroup.automorphism_images`, the check `twisted_class_count` makes, and
+the tests check its homomorphism test against the all-pairs definition.
 """
 
 from __future__ import annotations
@@ -261,15 +262,13 @@ def twisted_orbits_bruteforce(group: ExplicitGroup, twist: Optional[Mapping[str,
                               budget: Optional[int] = None) -> int:
     """Number of orbits of a -> g a twist(g)^-1, by enumeration over all of G.
 
-    The twist must be an automorphism, as for `twisted_class_count`.  Then
-    this is a group action, so the orbit of a is its image under every g,
-    found in one pass: |G| steps per orbit.
+    The twist must be an automorphism: `ExplicitGroup.automorphism_images`
+    checks it, as for `twisted_class_count`, and a twist that call has just
+    accepted is not checked again.  Then this is a group action, so the orbit
+    of a is its image under every g, found in one pass: |G| steps per orbit.
     """
     check_budget(group.order * group.order, "twisted orbit enumeration", budget)
-    images = tuple(range(group.order)) if twist is None else group.twist_indices(twist)
-    # the identity needs no test: it is always an automorphism
-    if twist is not None and (images is None or not group._respects(images)):
-        raise ValueError("twist is not an automorphism of the group")
+    images = group.automorphism_images(twist)
     table = group.table
     twist_inv = [group.inverse[t] for t in images]
     count = 0

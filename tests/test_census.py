@@ -2,11 +2,14 @@
 
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from param_atlas import cli
 from param_atlas.census import (
+    ExplicitGroup,
     UnipotentClass,
     census,
     component_group,
@@ -20,7 +23,7 @@ from param_atlas.census import (
     twisted_class_count,
     unipotent_classes,
 )
-from param_atlas.oracle import all_automorphisms
+from param_atlas.oracle import all_automorphisms, twisted_orbits_bruteforce
 from param_atlas.root_datum import ArithmeticContext, _datum, build_group
 
 
@@ -220,6 +223,85 @@ def test_generator_test_matches_all_pairs_on_sampled_bijections():
 
 
 # -- twisted classes -----------------------------------------------------------
+
+
+NOT_AN_AUTOMORPHISM = "twist is not an automorphism of the group"
+
+
+def _count_respects(monkeypatch):
+    calls = []
+    respects = ExplicitGroup._respects
+
+    def counting(self, images):
+        calls.append(images)
+        return respects(self, images)
+
+    monkeypatch.setattr(ExplicitGroup, "_respects", counting)
+    return calls
+
+
+def _both_counts(group, twist):
+    return twisted_class_count(group, twist).count, twisted_orbits_bruteforce(group, twist)
+
+
+def test_remembered_twist_is_matched_by_value():
+    g = cyclic_group(4)
+    identity = {a: a for a in g.labels}
+    inv = {a: g.inv(a) for a in g.labels}
+    assert _both_counts(g, identity) == (4, 4)
+    assert _both_counts(g, inv) == (2, 2)
+    # an equal but distinct dict, and the same mapping behind a read-only proxy
+    assert _both_counts(g, dict(inv)) == (2, 2)
+    assert _both_counts(g, types.MappingProxyType(dict(inv))) == (2, 2)
+    # None stays the identity whatever twist was accepted last
+    assert _both_counts(g, None) == (4, 4)
+    # accepted, then mutated in place into a bijection that is no homomorphism
+    inv["2"], inv["3"] = inv["3"], inv["2"]
+    for count in (twisted_class_count, twisted_orbits_bruteforce):
+        with pytest.raises(ValueError, match=NOT_AN_AUTOMORPHISM):
+            count(g, inv)
+    assert not g.is_automorphism(inv)
+
+
+def test_refused_twist_keeps_the_last_good_one(monkeypatch):
+    g = direct_product(cyclic_group(2), cyclic_group(4))
+    good = all_automorphisms(g)[-1]
+    counts = _both_counts(g, good)
+    images = g.automorphism_images(good)
+    bad = dict(good)
+    bad["0,1"], bad["0,2"] = bad["0,2"], bad["0,1"]
+    for count in (twisted_class_count, twisted_orbits_bruteforce):
+        with pytest.raises(ValueError, match=NOT_AN_AUTOMORPHISM):
+            count(g, bad)
+        with pytest.raises(ValueError, match=NOT_AN_AUTOMORPHISM):
+            count(g, types.MappingProxyType(bad))
+    calls = _count_respects(monkeypatch)
+    assert g.automorphism_images(dict(good)) is images
+    assert _both_counts(g, dict(good)) == counts
+    assert calls == []
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2), (4, 4)], ids=["Z2^3", "Z4xZ4"])
+def test_each_twist_is_checked_once(monkeypatch, factors):
+    g = cyclic_group(factors[0])
+    for d in factors[1:]:
+        g = direct_product(g, cyclic_group(d))
+    twists = all_automorphisms(g)
+    calls = _count_respects(monkeypatch)
+    for twist in twists:
+        fast = twisted_class_count(g, twist).count
+        assert twisted_orbits_bruteforce(g, twist) == fast
+    assert len(calls) == len(twists)
+
+
+def test_cli_twisted_oracle_checks_its_twist_once(monkeypatch, capsys):
+    g = cyclic_group(50)
+    # the group is cached: make it remember another twist, whatever ran before
+    assert g.is_automorphism({a: a for a in g.labels})
+    calls = _count_respects(monkeypatch)
+    assert cli.main(["oracle", "twisted", "--order", "50", "--twist", "inv"]) == 0
+    assert "twisted orbit count: 2" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_twisted_classes_identity_abelian():
