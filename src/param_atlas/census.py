@@ -228,13 +228,6 @@ class ExplicitGroup:
         self._accepted = (dict(twist), images)
         return images
 
-    def is_automorphism(self, twist: Mapping[str, str]) -> bool:
-        try:
-            self.automorphism_images(twist)
-        except ValueError:
-            return False
-        return True
-
     def element_order(self, a: str) -> int:
         i = x = self._index[a]
         n = 1

@@ -2,9 +2,11 @@
 
 Everything here is an independent shadow of the symbolic modules: exhaustive
 commutation solving, twisted-orbit enumeration, eigenvalue avoidance, and
-Jacobian rank probes.  Nothing imports results from the census or the ring
-presentations except as the object under test; twisted-orbit enumeration
-refuses twists that are not automorphisms through
+Jacobian rank probes.  Commutation solving walks the kernel of the linear
+equation one line at a time, and one membership test per line decides all
+|F| - 1 unit multiples of its representative.  Nothing imports results from
+the census or the ring presentations except as the object under test;
+twisted-orbit enumeration refuses twists that are not automorphisms through
 `ExplicitGroup.automorphism_images`, the check `twisted_class_count` makes, and
 the tests check its homomorphism test against the all-pairs definition.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import gf
 from ._linalg import solve
@@ -119,26 +121,40 @@ def solve_commutant(field: FiniteField, kind: str, sigma: Matrix, q: int,
                     budget: Optional[int] = None) -> list[Matrix]:
     """All phi in the group with phi sigma phi^-1 = sigma^q, by kernel enumeration, sorted.
 
-    The commutation equation is linear in phi; we enumerate the kernel of
-    X -> X sigma - sigma^q X and filter by group membership, under the
-    budget, as `_commutant_members` describes.
+    The commutation equation is linear in phi, so the solutions are the group
+    members in the kernel of X -> X sigma - sigma^q X.  `_commutant_members`
+    walks that kernel one line at a time under the budget; the multiples
+    c * X of a line's representative X are built here, and only for the
+    units c that make them members.
     """
-    return sorted(_commutant_members(field, kind, sigma, q, budget))
+    return sorted(
+        tuple(tuple(field.mul(c, x) for x in row) for row in rep)
+        for rep, scalars in _commutant_members(field, kind, sigma, q, budget)
+        for c in scalars
+    )
 
 
 def _commutant_members(field: FiniteField, kind: str, sigma: Matrix, q: int,
-                       budget: Optional[int]) -> Iterator[Matrix]:
-    """The group members in the kernel of X -> X sigma - sigma^q X, in walk order.
+                       budget: Optional[int]) -> Iterator[tuple[Matrix, Sequence[int]]]:
+    """Each line of the kernel of X -> X sigma - sigma^q X that meets the group.
+
+    Yields (X, scalars), where X is the line's representative, the kernel
+    vector whose first nonzero coordinate on the kernel basis is 1, and
+    scalars are the units c with c * X a member.  Every nonzero kernel
+    element is c * X for exactly one unit c and one representative X, and the
+    zero matrix is never a member, so the pairs give every member once.
+    Membership of c * X is read off X.  For GL, U and GSp (nu(cX) = c^2 nu(X))
+    every unit works when X is a member and none otherwise.  For SL, c * X is
+    a member exactly when c^n = det(X)^-1, looked up in a table of n-th roots.
 
     There are |F|^(kernel dim) candidates, and that count is checked against
-    the budget before any enumeration work, the multiples table included.
-
-    The table holds c * v for every c in F and every kernel basis vector v
-    (|F| * dim * n^2 entries).  The span is walked depth-first, one basis
-    vector per level, each level adding every multiple to its parent's
-    partial sum.  So a candidate costs n^2 field additions plus one
-    `is_member` test.  Only the |F| sums of each level on the current path
-    are held, so memory stays O(|F| * dim * n^2).
+    the budget before any enumeration work, the multiples and roots tables
+    included.  The walk then makes (|F|^dim - 1) / (|F| - 1) membership
+    tests, one `is_member` call (for SL one determinant) per line.  The lines
+    led by basis vector j are v_j plus each vector of the span of the later
+    basis vectors, walked depth-first by `_span`.  The multiples table holds
+    c * v for every c in F and every basis vector but the first, which is
+    only ever a lead (|F| * (dim - 1) * n^2 entries); memory stays at that.
     """
     n = len(sigma)
     if not is_member(field, kind, sigma):
@@ -148,14 +164,26 @@ def _commutant_members(field: FiniteField, kind: str, sigma: Matrix, q: int,
     kernel = gf.nullspace(field, rows)
     required = field.order ** len(kernel)
     check_budget(required, "commutant kernel enumeration", budget)
-    # multiples[j][i][c] is row i of c * kernel[j]
+    basis = [tuple(tuple(vec[i * n:(i + 1) * n]) for i in range(n)) for vec in kernel]
+    # multiples[j][i][c] is row i of c * basis[j + 1]
     multiples = [
-        [[tuple(field.mul(c, vec[i * n + b]) for b in range(n)) for c in field.elements()]
-         for i in range(n)]
-        for vec in kernel
+        [[tuple(field.mul(c, x) for x in row) for c in field.elements()] for row in mat]
+        for mat in basis[1:]
     ]
-    zero = tuple((0,) * n for _ in range(n))
-    return (mat for mat in _span(multiples, zero, field.add) if is_member(field, kind, mat))
+    lines = (rep for j, lead in enumerate(basis)
+             for rep in _span(multiples[j:], lead, field.add))
+    units = field.units()
+    if kind != "SL":
+        yield from ((rep, units) for rep in lines if is_member(field, kind, rep))
+        return
+    roots: dict[int, list[int]] = {}
+    for c in units:
+        roots.setdefault(field.pow(c, n), []).append(c)
+    for rep in lines:
+        det = gf.mat_det(field, rep)
+        scalars = roots.get(field.inv(det)) if det else None
+        if scalars:
+            yield rep, scalars
 
 
 def _span(multiples: list, partial: Matrix, add) -> Iterator[Matrix]:
@@ -181,10 +209,10 @@ def centralizer_order(field: FiniteField, kind: str, sigma: Matrix,
                       budget: Optional[int] = None) -> int:
     """|C(sigma)|: the solutions of phi sigma phi^-1 = sigma, counted, not listed.
 
-    The same walk and budget as `solve_commutant` at q = 1, without holding
-    or sorting the solutions.
+    The same line walk and budget as `solve_commutant` at q = 1.  Each line
+    adds its number of admissible units, so no solution matrix is built.
     """
-    return sum(1 for _ in _commutant_members(field, kind, sigma, 1, budget))
+    return sum(len(scalars) for _, scalars in _commutant_members(field, kind, sigma, 1, budget))
 
 
 # -- pi_0 detectors -----------------------------------------------------------

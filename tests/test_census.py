@@ -136,16 +136,16 @@ def test_nonabelian_groups():
 def test_is_automorphism():
     g = cyclic_group(4)
     inv = {a: g.inv(a) for a in g.labels}
-    assert g.is_automorphism(inv)
+    assert g.automorphism_images(inv) == (0, 3, 2, 1)
     swap_bad = {"0": "0", "1": "2", "2": "1", "3": "3"}
-    assert not g.is_automorphism(swap_bad)
     not_bijective = {a: "0" for a in g.labels}
     missing_key = {"0": "0", "1": "3", "2": "2"}
     extra_key = {**inv, "4": "4"}
     not_a_label = {**inv, "3": "x"}
-    for bad in (not_bijective, missing_key, extra_key, not_a_label):
-        assert not g.is_automorphism(bad)
-        with pytest.raises(ValueError):
+    for bad in (swap_bad, not_bijective, missing_key, extra_key, not_a_label):
+        with pytest.raises(ValueError, match=NOT_AN_AUTOMORPHISM):
+            g.automorphism_images(bad)
+        with pytest.raises(ValueError, match=NOT_AN_AUTOMORPHISM):
             twisted_class_count(g, bad)
 
 
@@ -260,7 +260,8 @@ def test_remembered_twist_is_matched_by_value():
     for count in (twisted_class_count, twisted_orbits_bruteforce):
         with pytest.raises(ValueError, match=NOT_AN_AUTOMORPHISM):
             count(g, inv)
-    assert not g.is_automorphism(inv)
+    with pytest.raises(ValueError, match=NOT_AN_AUTOMORPHISM):
+        g.automorphism_images(inv)
 
 
 def test_refused_twist_keeps_the_last_good_one(monkeypatch):
@@ -297,7 +298,7 @@ def test_each_twist_is_checked_once(monkeypatch, factors):
 def test_cli_twisted_oracle_checks_its_twist_once(monkeypatch, capsys):
     g = cyclic_group(50)
     # the group is cached: make it remember another twist, whatever ran before
-    assert g.is_automorphism({a: a for a in g.labels})
+    assert g.automorphism_images({a: a for a in g.labels}) == tuple(range(g.order))
     calls = _count_respects(monkeypatch)
     assert cli.main(["oracle", "twisted", "--order", "50", "--twist", "inv"]) == 0
     assert "twisted orbit count: 2" in capsys.readouterr().out

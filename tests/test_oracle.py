@@ -8,7 +8,7 @@ from itertools import permutations, product
 
 import pytest
 
-from param_atlas import gf
+from param_atlas import gf, oracle
 from param_atlas._linalg import QQ, mat_rank, nullspace, solve
 from param_atlas.budget import BudgetExceededError
 from param_atlas.census import (
@@ -168,15 +168,18 @@ def test_map_rows_is_the_map_on_vec_x(p, k):
 @pytest.mark.parametrize("walk", [
     lambda field, sigma, budget: solve_commutant(field, "GL", sigma, 1, budget),
     lambda field, sigma, budget: centralizer_order(field, "GL", sigma, budget),
-], ids=["solve_commutant", "centralizer_order"])
+    lambda field, sigma, budget: solve_commutant(field, "SL", sigma, 1, budget),
+    lambda field, sigma, budget: centralizer_order(field, "SL", sigma, budget),
+], ids=["solve_commutant", "centralizer_order", "solve_commutant_sl", "centralizer_order_sl"])
 def test_solve_commutant_budget_precedes_the_multiples_table(walk, monkeypatch):
     field = gf.FiniteField(2, 8)
 
     def built(*args):
-        raise AssertionError("the multiples table was built before the budget check")
+        raise AssertionError("a multiples or roots table was built before the budget check")
 
     monkeypatch.setattr(field, "elements", built)
     monkeypatch.setattr(field, "units", built)
+    monkeypatch.setattr(field, "pow", built)  # the SL table of n-th roots
     with pytest.raises(BudgetExceededError):
         walk(field, ((1, 0), (0, 1)), 256 ** 4 - 1)
 
@@ -237,6 +240,91 @@ def test_centralizer_order_closed_forms(p, k):
         assert sigmas.keys() == orders.keys()
         for name, sigma in sigmas.items():
             assert centralizer_order(field, kind, sigma) == orders[name], (kind, name)
+
+
+def _kernel_basis(field, sigma, q):
+    """A basis of the kernel of X -> X sigma - sigma^q X, as flat vectors."""
+    one = gf.mat_identity(len(sigma))
+    return nullspace(field, _map_rows(field, [(one, sigma)], [(gf.mat_pow(field, sigma, q), one)]))
+
+
+def reference_kernel(field, sigma, q):
+    """Every element of the kernel of X -> X sigma - sigma^q X.
+
+    This is the full walk the line walk replaced: filtered by membership, it
+    is the solution set, one candidate per kernel element.
+    """
+    n = len(sigma)
+    kernel = _kernel_basis(field, sigma, q)
+    elements = []
+    for coeffs in product(field.elements(), repeat=len(kernel)):
+        flat = [0] * (n * n)
+        for c, vec in zip(coeffs, kernel):
+            flat = [field.add(x, field.mul(c, v)) for x, v in zip(flat, vec)]
+        elements.append(tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+    return elements
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4)])
+def test_line_walk_matches_the_full_walk(p, k):
+    field = gf.FiniteField(p, k)
+    kernels = {}
+    sizes, answers = set(), set()
+    for kind in ("SL", "GL", "U"):
+        cases = [(sigma, q) for sigma in _regular_sigmas(field, kind).values()
+                 for q in (1, 2, 3, 4, 5)]
+        cases.append((((1, 0), (0, 1)), 1))  # the whole matrix space
+        for sigma, q in cases:
+            if (sigma, q) not in kernels:
+                kernels[sigma, q] = reference_kernel(field, sigma, q)
+            expected = [mat for mat in kernels[sigma, q] if is_member(field, kind, mat)]
+            assert solve_commutant(field, kind, sigma, q) == sorted(expected), (kind, sigma, q)
+            if q == 1:
+                assert centralizer_order(field, kind, sigma) == len(expected), (kind, sigma)
+            sizes.add(len(kernels[sigma, q]))
+            answers.add(bool(expected))
+    # kernels of dimension 0, 2 and 4; some answers empty, some not
+    assert sizes == {1, field.order ** 2, field.order ** 4} and answers == {False, True}
+
+
+@pytest.mark.parametrize("p,qs", [(2, (1, 2, 3)), (3, (1, 3))])
+def test_line_walk_matches_the_full_walk_on_gsp4(p, qs):
+    field = gf.FiniteField(p)
+    u = int_matrix(field, UNIPOTENT_22)
+    answers = set()
+    for q in qs:
+        expected = [mat for mat in reference_kernel(field, u, q) if is_member(field, "GSp", mat)]
+        assert solve_commutant(field, "GSp", u, q) == sorted(expected), q
+        if q == 1:
+            assert centralizer_order(field, "GSp", u) == len(expected)
+        answers.add(bool(expected))
+    assert answers == {False, True}
+
+
+@pytest.mark.parametrize("kind,p,k,sigma,q", [
+    ("GL", 2, 2, ((1, 0), (0, 1)), 1),
+    ("U", 2, 3, ((1, 1), (0, 1)), 1),
+    ("SL", 5, 1, ((1, 1), (0, 1)), 1),
+    ("SL", 7, 1, ((1, 1), (0, 1)), 3),
+    ("SL", 2, 1, ((0, 1), (1, 1)), 3),
+    ("GSp", 3, 1, UNIPOTENT_22, 1),
+])
+def test_line_walk_tests_membership_once_per_line(kind, p, k, sigma, q, monkeypatch):
+    field = gf.FiniteField(p, k)
+    sigma = int_matrix(field, sigma)
+    lines = (field.order ** len(_kernel_basis(field, sigma, q)) - 1) // (field.order - 1)
+    calls = []
+    for module, name in ((gf, "mat_det"), (oracle, "similitude")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, original=original: calls.append(1) or original(*args))
+    solve_commutant(field, kind, sigma, q)
+    assert len(calls) == 1 + lines  # sigma itself, then one test per line
+    if q == 1:
+        calls.clear()
+        centralizer_order(field, kind, sigma)
+        assert len(calls) == 1 + lines
 
 
 # -- component-group detectors -------------------------------------------------
@@ -343,12 +431,14 @@ def test_bruteforce_orbits_match_definition_on_every_bijection():
         automorphisms = 0
         for images in permutations(range(g.order)):
             twist = {g.labels[a]: g.labels[b] for a, b in enumerate(images)}
-            if g.is_automorphism(twist):
-                automorphisms += 1
-                assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, images)
-            else:
+            try:
+                g.automorphism_images(twist)
+            except ValueError:
                 with pytest.raises(ValueError, match="not an automorphism"):
                     twisted_orbits_bruteforce(g, twist)
+            else:
+                automorphisms += 1
+                assert twisted_orbits_bruteforce(g, twist) == _orbits_union_find(g, images)
         assert automorphisms == len(all_automorphisms(g))
 
 
@@ -369,7 +459,8 @@ def test_bruteforce_orbits_reject_non_homomorphisms():
     # so a -> g a twist(g)^-1 is no group action; the census refuses it too.
     g = cyclic_group(4)
     for twist in ({"0": "0", "1": "1", "2": "3", "3": "2"}, {"0": "1", "1": "0"}):
-        assert not g.is_automorphism(twist)
+        with pytest.raises(ValueError, match="twist is not an automorphism of the group"):
+            g.automorphism_images(twist)
         for count in (twisted_orbits_bruteforce, twisted_class_count):
             with pytest.raises(ValueError, match="twist is not an automorphism of the group"):
                 count(g, twist)
@@ -416,7 +507,7 @@ def test_nonabelian_product_twisted_classes_and_automorphisms():
 def test_all_automorphisms_are_automorphisms():
     g = quaternion_group()
     for twist in all_automorphisms(g):
-        assert g.is_automorphism(twist)
+        assert g.automorphism_images(twist) == g.twist_indices(twist)
 
 
 def test_census_twisted_counts_agree_with_bruteforce():
