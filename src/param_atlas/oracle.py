@@ -314,38 +314,34 @@ def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
 
     H_i is the subgroup generated by g_0 .. g_(i-1).  A one-to-one
     homomorphism phi on H_i extends to H_(i+1) by an image of g_i of the same
-    order: phi(x * g_j) = phi(x) * phi(g_j) defines each new element of
-    H_(i+1) from one already mapped.  The extension is kept only if it hits
-    no image twice and that rule holds on every other pair (x, j) that no
-    smaller subgroup has checked.  So an image already in phi(H_i) fails at
-    once, and a bad choice for g_i is never paired with any choice for later
-    generators.  Generator images are tried in `itertools.product` order over
-    the candidates, and each map lists its elements in breadth-first order
-    from the generators.
+    order, read through the relation pairs (ab, a, b) of H_(i+1) that
+    `ExplicitGroup` records: the first pair to reach an element defines
+    phi(ab) = phi(a) * phi(b), and every other pair checks that rule.  By
+    Schreier's lemma the pairs suffice (see `ExplicitGroup`), so the
+    extension is kept exactly when it hits no image twice and every check
+    holds.  An image of g_i already in phi(H_i) is dropped at once, and a bad
+    choice for g_i is never paired with any choice for later generators.
+    Generator images are tried in `itertools.product` order over the
+    candidates, and each map lists its elements in breadth-first order from
+    the generators.
     """
     table = group.table
     gens = group.generators
     order = group.order
-    # levels[i] is (new, checks), lists of (y, x, j) with y = x * g_j: new
-    # defines each element of H_(i+1) \ H_i from one listed before it, and
-    # checks holds every other pair with x in H_(i+1), j <= i, and not both
-    # x in H_i and j < i.
+    # levels[i] is (new, checks): the relation pairs of H_(i+1) that define
+    # an element of H_(i+1) \ H_i other than g_i, in order, and the others
     levels = []
-    members = [0]
     inside = bytearray(order)
     inside[0] = 1
-    for i in range(len(gens)):
-        old = len(members)
+    for g, pairs in zip(gens, group._relations):
+        inside[g] = 1
         new, checks = [], []
-        for pos, x in enumerate(members):
-            for j in range(i if pos < old else 0, i + 1):
-                y = table[x][gens[j]]
-                if inside[y]:
-                    checks.append((y, x, j))
-                else:
-                    inside[y] = 1
-                    members.append(y)
-                    new.append((y, x, j))
+        for pair in pairs:
+            if inside[pair[0]]:
+                checks.append(pair)
+            else:
+                inside[pair[0]] = 1
+                new.append(pair)
         levels.append((new, checks))
     # the key order of every map: breadth first from the identity
     keys = [0]
@@ -362,32 +358,36 @@ def all_automorphisms(group: ExplicitGroup) -> list[dict[str, str]]:
     phi = [0] * order
     hit = bytearray(order)
     hit[0] = 1
-    images = [0] * len(gens)
     out = []
 
     def extend(i: int) -> None:
         if i == len(gens):
             out.append({labels[y]: labels[phi[y]] for y in keys})
             return
+        g = gens[i]
         new, checks = levels[i]
         for image in candidates[i]:
-            images[i] = image
+            if hit[image]:
+                continue
+            hit[image] = 1
+            phi[g] = image
             mapped = 0
-            for y, x, j in new:
-                z = table[phi[x]][images[j]]
+            for ab, a, b in new:
+                z = table[phi[a]][phi[b]]
                 if hit[z]:
                     break
                 hit[z] = 1
-                phi[y] = z
+                phi[ab] = z
                 mapped += 1
             else:
-                for y, x, j in checks:
-                    if phi[y] != table[phi[x]][images[j]]:
+                for ab, a, b in checks:
+                    if phi[ab] != table[phi[a]][phi[b]]:
                         break
                 else:
                     extend(i + 1)
-            for y, _, _ in new[:mapped]:
-                hit[phi[y]] = 0
+            for ab, _, _ in new[:mapped]:
+                hit[phi[ab]] = 0
+            hit[image] = 0
 
     extend(0)
     return out

@@ -222,6 +222,151 @@ def test_generator_test_matches_all_pairs_on_sampled_bijections():
             assert g._respects(images) == _respects_all_pairs(g, images), (g, images)
 
 
+def _abelian_groups():
+    """The 24 abelian groups of order 2..16, one per invariant-factor chain d1 | d2 | ..."""
+    chains = []
+
+    def extend(chain, product):
+        step = chain[-1] if chain else 1
+        for d in range(chain[-1] if chain else 2, 16 // product + 1, step):
+            chains.append(chain + (d,))
+            extend(chain + (d,), product * d)
+
+    extend((), 1)
+    return [_product(*map(cyclic_group, chain)) for chain in chains]
+
+
+def _nonabelian_groups():
+    s3, q8, z2 = symmetric_group_3(), quaternion_group(), cyclic_group(2)
+    return [s3, q8, _product(s3, z2), _product(q8, z2), _product(s3, s3)]
+
+
+def test_abelian_groups_helper_lists_each_type_once():
+    groups = _abelian_groups()
+    assert len(groups) == 24
+    assert sorted(g.order for g in groups) == sorted(
+        [2, 3, 4, 4, 5, 6, 7, 8, 8, 8, 9, 9, 10, 11, 12, 12, 13, 14, 15, 16, 16, 16, 16, 16])
+    assert {"Z/3", "Z/3xZ/3", "Z/15", "Z/2xZ/2xZ/2xZ/2"} <= {g.name for g in groups}
+
+
+def test_abelian_flag_reads_the_generators():
+    for g in _abelian_groups() + _nonabelian_groups() + [cyclic_group(1), cyclic_group(500)]:
+        t = g.table
+        assert g.abelian == all(t[a][b] == t[b][a] for a in range(g.order) for b in range(a)), g
+    assert all(g.abelian for g in _abelian_groups())
+    assert not any(g.abelian for g in _nonabelian_groups())
+
+
+def test_relation_pairs_are_products_and_fewer_than_all_generator_products():
+    z2 = cyclic_group(2)
+    for g in _abelian_groups() + _nonabelian_groups() + [cyclic_group(500)]:
+        pairs = [pair for level in g._relations for pair in level]
+        assert len(g._relations) == len(g.generators)
+        assert all(g.table[a][b] == ab for ab, a, b in pairs), g
+        assert len(pairs) < g.order * len(g.generators), g
+    counts = {"Z/2xZ/2xZ/2xZ/2": 21, "S_3": 7, "Q_8": 10}
+    for g in (_product(z2, z2, z2, z2), symmetric_group_3(), quaternion_group()):
+        assert sum(map(len, g._relations)) == counts[g.name]
+
+
+def test_relation_pairs_match_all_pairs_on_near_misses():
+    rng = random.Random(22)
+    for g in (_product(symmetric_group_3(), symmetric_group_3()),
+              _product(quaternion_group(), cyclic_group(2))):
+        autos = [g.twist_indices(t) for t in all_automorphisms(g)]
+        # an automorphism followed by a transposition, or by a left translation,
+        # which moves the identity
+        near = [tuple(a[i] if a[i] not in (x, y) else x + y - a[i] for i in range(g.order))
+                for a in autos for x, y in [rng.sample(range(g.order), 2)]]
+        shifted = [tuple(g.table[c][x] for x in a) for a in autos[:10] for c in range(1, g.order)]
+        sample = [tuple(rng.sample(range(g.order), g.order)) for _ in range(300)]
+        verdicts = set()
+        for images in autos + near + shifted + sample:
+            verdict = g._respects(images)
+            assert verdict == _respects_all_pairs(g, images), (g, images)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+        assert not any(g._respects(images) for images in shifted)
+
+
+def _all_automorphisms_all_pairs(group):
+    """The automorphism search as it was before the relation pairs: every x * g_j is checked."""
+    table = group.table
+    gens = group.generators
+    order = group.order
+    levels = []
+    members = [0]
+    inside = bytearray(order)
+    inside[0] = 1
+    for i in range(len(gens)):
+        old = len(members)
+        new, checks = [], []
+        for pos, x in enumerate(members):
+            for j in range(i if pos < old else 0, i + 1):
+                y = table[x][gens[j]]
+                if inside[y]:
+                    checks.append((y, x, j))
+                else:
+                    inside[y] = 1
+                    members.append(y)
+                    new.append((y, x, j))
+        levels.append((new, checks))
+    keys = [0]
+    seen = bytearray(order)
+    seen[0] = 1
+    for x in keys:
+        for y in map(table[x].__getitem__, gens):
+            if not seen[y]:
+                seen[y] = 1
+                keys.append(y)
+    orders = [group.element_order(a) for a in group.labels]
+    candidates = [[h for h in range(order) if orders[h] == orders[g]] for g in gens]
+    labels = group.labels
+    phi = [0] * order
+    hit = bytearray(order)
+    hit[0] = 1
+    images = [0] * len(gens)
+    out = []
+
+    def extend(i):
+        if i == len(gens):
+            out.append({labels[y]: labels[phi[y]] for y in keys})
+            return
+        new, checks = levels[i]
+        for image in candidates[i]:
+            images[i] = image
+            mapped = 0
+            for y, x, j in new:
+                z = table[phi[x]][images[j]]
+                if hit[z]:
+                    break
+                hit[z] = 1
+                phi[y] = z
+                mapped += 1
+            else:
+                for y, x, j in checks:
+                    if phi[y] != table[phi[x]][images[j]]:
+                        break
+                else:
+                    extend(i + 1)
+            for y, _, _ in new[:mapped]:
+                hit[phi[y]] = 0
+
+    extend(0)
+    return out
+
+
+def test_all_automorphisms_match_the_all_pairs_search():
+    # on Z/6 x S_3 and Q_8 x Z/4 some one-to-one extensions by generator
+    # images of the right orders break a relation pair that only a check sees
+    decided_by_checks = [_product(cyclic_group(6), symmetric_group_3()),
+                         _product(quaternion_group(), cyclic_group(4))]
+    for g in _abelian_groups() + _nonabelian_groups() + decided_by_checks:
+        # the same maps, in the same list order, each with the same key order
+        assert [list(phi.items()) for phi in all_automorphisms(g)] == [
+            list(phi.items()) for phi in _all_automorphisms_all_pairs(g)], g
+
+
 # -- twisted classes -----------------------------------------------------------
 
 
@@ -303,6 +448,51 @@ def test_cli_twisted_oracle_checks_its_twist_once(monkeypatch, capsys):
     assert cli.main(["oracle", "twisted", "--order", "50", "--twist", "inv"]) == 0
     assert "twisted orbit count: 2" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def _twisted_classes_by_sets(group, twist):
+    """The twisted-class loop as it was before the one coset pass: one set per orbit."""
+    n = group.order
+    images = group.automorphism_images(twist)
+    table = group.table
+    twist_inv = [group.inverse[t] for t in images]
+    image = {table[g][t] for g, t in enumerate(twist_inv)}
+    orbits = []
+    assigned = set()
+    for start in range(n):
+        if start in assigned:
+            continue
+        if group.abelian:
+            orbit = {table[start][h] for h in image}
+        else:
+            orbit = {start}
+            frontier = [start]
+            while frontier:
+                a = frontier.pop()
+                for g, t in enumerate(twist_inv):
+                    b = table[table[g][a]][t]
+                    if b not in orbit:
+                        orbit.add(b)
+                        frontier.append(b)
+        orbits.append(orbit)
+        assigned |= orbit
+    labels = group.labels
+    reps = sorted(
+        (labels[0] if 0 in orbit else min(labels[i] for i in orbit) for orbit in orbits),
+        key=lambda r: (r != labels[0], r),
+    )
+    return len(orbits), tuple(reps), "cokernel" if group.abelian else "orbit"
+
+
+def test_one_coset_pass_matches_the_set_loop_under_every_automorphism():
+    twists = 0
+    for g in _abelian_groups() + _nonabelian_groups():
+        for twist in [None] + all_automorphisms(g):
+            fast = twisted_class_count(g, twist)
+            assert (fast.count, fast.representatives, fast.method) == (
+                _twisted_classes_by_sets(g, twist)), (g, twist)
+            twists += 1
+    assert twists > 20160
 
 
 def test_twisted_classes_identity_abelian():
