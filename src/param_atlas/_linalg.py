@@ -1,7 +1,10 @@
 """Exact linear algebra: integer lattice helpers and the one elimination kernel.
 
-Everything here is desk scale (matrices of size at most ~15); clarity over speed.
-Lattice matrices are row-major tuples of tuples of ints.
+Lattice matrices are row-major tuples of tuples of ints, and the lattice
+helpers sit in the inner loops of Weyl-orbit walks and rewriting, so they run
+their integer loops in C builtins: `sum(map(mul, u, v))` rather than a
+generator per entry.  `map` stops at the shorter input, so `dot` checks the
+lengths itself and raises ValueError on a mismatch.
 
 The elimination routines (`rref`, `mat_rank`, `nullspace`, `solve`, `mat_det`,
 `mat_inverse`) work over any field object with the methods `add`, `sub`,
@@ -13,6 +16,7 @@ int-encoded elements.  Matrices there are lists (or tuples) of rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -23,11 +27,13 @@ def mat_id(n: int) -> Mat:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def dot(u: Vec, v: Vec) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 class _Rationals:

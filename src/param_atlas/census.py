@@ -100,7 +100,7 @@ class UnipotentClass:
     def __post_init__(self):
         if sum(self.partition) != self.ambient:
             raise ValueError(f"partition {self.partition} does not sum to {self.ambient}")
-        if any(a < b for a, b in zip(self.partition, self.partition[1:])):
+        if list(self.partition) != sorted(self.partition, reverse=True):
             raise ValueError(f"partition must be weakly decreasing: {self.partition}")
         if self.family == "GSp" and any(
                 self.partition.count(d) % 2 for d in set(self.partition) if d % 2):
@@ -111,9 +111,9 @@ class UnipotentClass:
 def unipotent_classes(datum: GroupDatum) -> list[UnipotentClass]:
     """All unipotent classes of the preset, sorted by (rank(u-1), partition)."""
     parts = symplectic_partitions(datum.n) if datum.family == "GSp" else partitions(datum.n)
-    classes = [UnipotentClass(datum.family, datum.n, p) for p in parts]
-    classes.sort(key=lambda c: (c.rank_drop, c.partition))
-    return classes
+    # rank(u-1) is n minus the number of parts, so more parts come first
+    return [UnipotentClass(datum.family, datum.n, p)
+            for p in sorted(parts, key=lambda p: (-len(p), p))]
 
 
 # -- explicit finite groups ---------------------------------------------------

@@ -4,9 +4,18 @@ A polynomial is a dict mapping integer exponent tuples to nonzero Python ints,
 so coefficients never overflow and equality is exact.  Exponents may be
 negative; "invertible" symbols are handled at a higher level by only ever
 inverting single-term monomials.
+
+The public constructor normalizes outside input: it re-tuples every exponent
+and drops zero coefficients.  The ring operations `+`, `-`, unary `-` and the
+product of two polynomials build a fresh dict that already has tuple keys and
+no zero coefficient, so they wrap it as it is with `_wrap`, which trusts its
+input and copies nothing.  A product with an int still normalizes, because
+`p * 0` makes zeros.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from ._linalg import Mat, Vec, mat_vec
 
@@ -48,13 +57,13 @@ class LaurentPolynomial:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return LaurentPolynomial(self.rank, out)
+        return _wrap(self.rank, out)
 
     def __radd__(self, other: int) -> "LaurentPolynomial":
         return self + other
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.rank, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         return self + (-self._coerce(other))
@@ -66,16 +75,17 @@ class LaurentPolynomial:
         if isinstance(other, int):
             return LaurentPolynomial(
                 self.rank, {e: c * other for e, c in self.terms.items()})
+        other = self._coerce(other)
         out: dict[Vec, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return LaurentPolynomial(self.rank, out)
+        return _wrap(self.rank, out)
 
     def __rmul__(self, other: int) -> "LaurentPolynomial":
         return self * other
@@ -223,3 +233,15 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.canonical_str()})"
+
+
+def _wrap(rank: int, terms: dict[Vec, int]) -> LaurentPolynomial:
+    """The polynomial on `terms` as given.
+
+    The caller vouches for tuple keys, no zero coefficient and a dict that no
+    other polynomial holds.
+    """
+    p = object.__new__(LaurentPolynomial)
+    p.rank = rank
+    p.terms = terms
+    return p

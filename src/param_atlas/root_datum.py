@@ -155,7 +155,7 @@ class GroupDatum:
 
 def _reflect(v: Vec, c: int, alpha: Vec) -> Vec:
     """v - c * alpha."""
-    return tuple(x - c * a for x, a in zip(v, alpha))
+    return tuple([x - c * a for x, a in zip(v, alpha)])
 
 
 class UnsupportedPresetError(ValueError):

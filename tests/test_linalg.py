@@ -6,7 +6,16 @@ from itertools import permutations
 
 import pytest
 
-from param_atlas._linalg import QQ, mat_det, mat_inverse, mat_rank, nullspace, solve
+from param_atlas._linalg import (
+    QQ,
+    dot,
+    mat_det,
+    mat_inverse,
+    mat_rank,
+    mat_vec,
+    nullspace,
+    solve,
+)
 from param_atlas.gf import get_field
 
 FIELDS = [QQ, get_field(7), get_field(3, 2)]
@@ -107,3 +116,26 @@ def test_det_matches_leibniz_expansion(field):
         for _ in range(40):
             rows = _matrix(field, rng, size, size)
             assert mat_det(field, rows) == _leibniz_det(field, rows), rows
+
+
+# -- integer lattice helpers --------------------------------------------------
+
+
+@pytest.mark.parametrize("u,v", [((1, 2), (3,)), ((1,), (2, 3)), ((), (1,)), ((1, 2, 3), (1, 2))])
+def test_dot_rejects_vectors_of_different_lengths(u, v):
+    with pytest.raises(ValueError):
+        dot(u, v)
+
+
+def test_dot_and_mat_vec_match_the_comprehension_forms():
+    rng = random.Random(5)
+    assert dot((), ()) == 0
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        u = tuple(rng.randint(-9, 9) for _ in range(n))
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 6)))
+        assert dot(u, v) == sum(a * b for a, b in zip(u, v, strict=True))
+        want = tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+        got = mat_vec(m, v)
+        assert type(got) is tuple and got == want

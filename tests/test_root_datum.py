@@ -10,6 +10,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from param_atlas import root_datum
 from param_atlas._linalg import QQ, dot, mat_vec, solve
 from param_atlas.root_datum import (
     ArithmeticContext,
@@ -258,6 +259,17 @@ def _reflect(x, v, cv):
     # x - <x, cv> v
     c = dot(x, cv)
     return tuple(a - c * b for a, b in zip(x, v))
+
+
+def test_reflect_matches_the_comprehension_form():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        alpha = tuple(rng.randint(-2, 2) for _ in range(n))
+        c = rng.randint(-5, 5)
+        got = root_datum._reflect(v, c, alpha)
+        assert type(got) is tuple and got == tuple(x - c * a for x, a in zip(v, alpha))
 
 
 @pytest.mark.parametrize("family,n", sorted(ROOT_DATUM_DIGESTS))
