@@ -3,8 +3,8 @@
 Lattice matrices are row-major tuples of tuples of ints, and the lattice
 helpers sit in the inner loops of Weyl-orbit walks and rewriting, so they run
 their integer loops in C builtins: `sum(map(mul, u, v))` rather than a
-generator per entry.  `map` stops at the shorter input, so `dot` checks the
-lengths itself and raises ValueError on a mismatch.
+generator per entry.  `map` stops at the shorter input, so `dot` and
+`mat_vec` check the lengths themselves and raise ValueError on a mismatch.
 
 The elimination routines (`rref`, `mat_rank`, `nullspace`, `solve`, `mat_det`,
 `mat_inverse`) work over any field object with the methods `add`, `sub`,
@@ -27,6 +27,10 @@ def mat_id(n: int) -> Mat:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
+    lengths = set(map(len, m))
+    if lengths - {len(v)}:
+        raise ValueError(
+            f"mat_vec of rows of lengths {sorted(lengths)} and a vector of length {len(v)}")
     return tuple([sum(map(mul, row, v)) for row in m])
 
 

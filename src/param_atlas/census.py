@@ -109,11 +109,18 @@ class UnipotentClass:
 
 
 def unipotent_classes(datum: GroupDatum) -> list[UnipotentClass]:
-    """All unipotent classes of the preset, sorted by (rank(u-1), partition)."""
+    """All unipotent classes of the preset, sorted by (rank(u-1), partition).
+
+    rank(u-1) is n minus the number of parts, so more parts come first.  The
+    partitions arrive in reverse lexicographic order: read backwards into one
+    bucket per length, each bucket is in lexicographic order.
+    """
     parts = symplectic_partitions(datum.n) if datum.family == "GSp" else partitions(datum.n)
-    # rank(u-1) is n minus the number of parts, so more parts come first
+    by_length = [[] for _ in range(datum.n + 1)]
+    for p in reversed(parts):
+        by_length[len(p)].append(p)
     return [UnipotentClass(datum.family, datum.n, p)
-            for p in sorted(parts, key=lambda p: (-len(p), p))]
+            for bucket in reversed(by_length) for p in bucket]
 
 
 # -- explicit finite groups ---------------------------------------------------
@@ -416,15 +423,21 @@ class ComponentGroup:
     curated_note: Optional[str] = None
 
 
+@lru_cache(maxsize=None)
+def _shared(name: str, group: ExplicitGroup) -> ComponentGroup:
+    """One frozen ComponentGroup per (name, group), shared by every class that has it."""
+    return ComponentGroup(name, group)
+
+
 def component_group(datum: GroupDatum, cls: UnipotentClass, ctx: ArithmeticContext) -> ComponentGroup:
     """Curated pi_0 of the centralizer of a unipotent of the given class, at ctx.ell."""
     if cls.family != datum.family or cls.ambient != datum.n:
         raise ValueError(f"class {cls.partition} does not belong to {datum.name}")
     if datum.family in ("GL", "U"):
-        return ComponentGroup("1", cyclic_group(1))
+        return _shared("1", cyclic_group(1))
     if datum.family == "SL":
         d = math.gcd(*cls.partition)
-        return ComponentGroup(f"mu_{d}", cyclic_group(prime_to_part(d, ctx.ell)))
+        return _shared(f"mu_{d}", cyclic_group(prime_to_part(d, ctx.ell)))
     # GSp: etale (Z/2)^{distinct even parts}, modulo the class of the central -1,
     # which pairs each even part d with m_d mod 2.
     if ctx.ell == 2:
@@ -456,16 +469,17 @@ class CensusEntry:
     pi0: ComponentGroup
 
     def to_dict(self) -> dict:
+        cls, pi0 = self.unipotent, self.pi0
         return {
-            "partition": list(self.unipotent.partition),
+            "partition": list(cls.partition),
             "label": self.label,
-            "rank_drop": self.unipotent.rank_drop,
-            "regular": self.unipotent.regular,
-            "distinguished": self.unipotent.distinguished,
-            "pi0": self.pi0.name,
-            "pi0_points": self.pi0.group.order,
+            "rank_drop": cls.rank_drop,
+            "regular": cls.regular,
+            "distinguished": cls.distinguished,
+            "pi0": pi0.name,
+            "pi0_points": pi0.group.order,
             "twisted_class": self.twisted_rep,
-            "curated_note": self.pi0.curated_note,
+            "curated_note": pi0.curated_note,
         }
 
 

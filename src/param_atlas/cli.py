@@ -112,34 +112,50 @@ def _fmt_partition(partition) -> str:
     return ",".join(str(x) for x in partition)
 
 
-def _indented(value, pad: str = "\n") -> str:
+def _indented(value) -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True), built by joins.
 
     With any indent the json module runs its pure-Python encoder, which
     yields one small string per token.  Here strings, ints, the three literals,
-    lists, tuples and dicts with string keys are written directly; any other
-    value goes through json.dumps and is shifted to this depth.  `pad` is a
-    newline plus the indentation of the line that holds the value.
+    lists, tuples and dicts with string keys are written directly, each scalar
+    by the C callable for its exact type; any other value, IntEnum and str
+    subclasses included, goes through json.dumps and is shifted to its depth.
+    A dict's keys are sorted and encoded once per (depth, key sequence, key
+    types), not once per dict: a census repeats one key sequence thousands of
+    times.  `pad` is a newline plus the indentation of the line that holds
+    the value.
     """
-    kind = type(value)
-    if kind is str:
-        return json.encoder.encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    inner = pad + "  "
-    if (kind is list or kind is tuple) and value:
-        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in value]) + pad + "]"
-    if kind is dict and value and all(type(k) is str for k in value):
-        encode = json.encoder.encode_basestring_ascii
-        return "{" + inner + ("," + inner).join([
-            encode(k) + ": " + _indented(v, inner) for k, v in sorted(value.items())]) + pad + "}"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+    encode_str = json.encoder.encode_basestring_ascii
+    literal = {True: "true", False: "false", None: "null"}.__getitem__
+    scalar = {str: encode_str, int: int.__repr__, bool: literal, type(None): literal}.get
+    heads = {}  # (pad, keys, key types) -> (the text before each value, sorted keys)
+
+    def encode(value, pad):
+        kind = type(value)
+        inner = pad + "  "
+        if (kind is list or kind is tuple) and value:
+            return "[" + inner + ("," + inner).join([
+                write(v) if (write := scalar(type(v))) else encode(v, inner)
+                for v in value]) + pad + "]"
+        if kind is dict and value:
+            keys = tuple(value)
+            memo = (pad, keys, tuple(map(type, keys)))
+            head = heads.get(memo)
+            if head is None and set(memo[2]) == {str}:
+                order = sorted(keys)
+                texts = ["," + inner + encode_str(k) + ": " for k in order]
+                texts[0] = "{" + texts[0][1:]
+                head = heads[memo] = (texts, order)
+            if head is not None:
+                return "".join([
+                    text + (write(v) if (write := scalar(type(v := value[k]))) else encode(v, inner))
+                    for text, k in zip(*head)]) + pad + "}"
+        write = scalar(kind)
+        if write:
+            return write(value)
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+    return encode(value, "\n")
 
 
 # -- census / coverage / bg-ring ----------------------------------------------

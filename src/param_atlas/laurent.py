@@ -139,6 +139,10 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.rank, out)
 
     def scale_exponents(self, k: int) -> "LaurentPolynomial":
+        if k == 0:
+            # every exponent lands on 0: the constant term is the sum of the coefficients
+            return LaurentPolynomial.constant(self.rank, sum(self.terms.values()))
+        # e -> k*e is injective, so no two terms collide
         return LaurentPolynomial(
             self.rank, {tuple(k * x for x in e): c for e, c in self.terms.items()})
 

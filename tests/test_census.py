@@ -1,6 +1,7 @@
 """Unipotent classes, explicit small groups, twisted classes, and the census."""
 
 import itertools
+import math
 import random
 import types
 
@@ -95,6 +96,16 @@ def test_classes_sorted_by_rank_drop():
     drops = [c.rank_drop for c in classes]
     assert drops == sorted(drops)
     assert [c.partition for c in classes if c.rank_drop == 2] == [(2, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("family,n", [("GL", 1)] + [(f, n) for f in ("GL", "SL", "U")
+                                                     for n in range(2, 15)]
+                         + [("GSp", 4), ("GSp", 6)])
+def test_classes_in_order_of_more_parts_then_partition(family, n):
+    datum = build_group(family, n)
+    parts = symplectic_partitions(n) if family == "GSp" else partitions(n)
+    want = sorted(parts, key=lambda p: (-len(p), p))
+    assert [c.partition for c in unipotent_classes(datum)] == want
 
 
 # -- explicit groups -----------------------------------------------------------
@@ -605,6 +616,55 @@ def test_component_group_gsp_rank_counts_even_parts():
     for partition, name in table.items():
         pi0 = component_group(datum, UnipotentClass("GSp", 12, partition), ctx)
         assert (pi0.name, pi0.group.name, pi0.group.order) == (name, name, 2 ** name.count("Z/2"))
+
+
+def _reference_pi0(family, n, partition, ell):
+    """(name, order of the ell'-points, curated note), from the centralizer tables."""
+    if family in ("GL", "U"):
+        return "1", 1, None
+    if family == "SL":
+        d = points = math.gcd(*partition)
+        while ell is not None and points % ell == 0:
+            points //= ell
+        return f"mu_{d}", points, None
+    if (n, partition) == (6, (4, 2)):
+        return "1", 1, "curated"
+    even = {d for d in partition if d % 2 == 0}
+    rank = len(even) - (1 if any(partition.count(d) % 2 for d in even) else 0)
+    return ("x".join(["Z/2"] * rank) or "1"), 2 ** rank, None
+
+
+@pytest.mark.parametrize("family,n,ells", [
+    ("GL", 6, (None, 2, 3, 5)), ("U", 6, (None, 2, 3)),
+    ("SL", 6, (None, 2, 3, 5)), ("SL", 12, (2, 3, 5, 7)),
+    ("GSp", 4, (None, 3, 5)), ("GSp", 6, (3, 5, 7)),
+])
+def test_component_group_matches_a_fresh_reference(family, n, ells):
+    datum = build_group(family, n)
+    for ell in ells:
+        ctx = ArithmeticContext(q=4 if ell == 3 else 3, ell=ell)
+        for cls in unipotent_classes(datum):
+            pi0 = component_group(datum, cls, ctx)
+            name, points, note = _reference_pi0(family, n, cls.partition, ell)
+            assert (pi0.name, pi0.group.order) == (name, points), (cls.partition, ell)
+            assert pi0.group.name == ("1" if points == 1 else name if family == "GSp"
+                                      else f"Z/{points}")
+            if note is None:
+                assert pi0.curated_note is None
+            else:
+                assert "curated-uncertain" in pi0.curated_note
+
+
+def test_component_group_shares_one_object_per_cyclic_pi0():
+    # frozen, so classes with the same pi_0 can share one object
+    datum = build_group("SL", 12)
+    ctx = ArithmeticContext(q=7, ell=2)
+    by_name = {}
+    for cls in unipotent_classes(datum):
+        pi0 = component_group(datum, cls, ctx)
+        assert by_name.setdefault(pi0.name, pi0) is pi0
+    # mu_4 at ell = 2: 2 divides the gcd of (4, 4, 4) and (8, 4), so the points are trivial
+    assert (by_name["mu_4"].group.order, by_name["mu_6"].group.order) == (1, 3)
 
 
 def test_gsp_rejects_ell_2():

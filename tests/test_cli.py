@@ -1,5 +1,6 @@
 """CLI surface: text output, JSON payloads against the schema, exit codes."""
 
+import enum
 import hashlib
 import importlib
 import itertools
@@ -431,6 +432,47 @@ def test_json_writer_matches_json_dumps_on_random_values():
     for _ in range(3000):
         value = _random_json_value(rng, 0)
         assert cli._indented(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Backwards(str):
+    """A string subclass that sorts in reverse: json.dumps orders its keys backwards."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):
+        return str.__lt__(self, other)
+
+
+_RECORD = {"label": "C0", "partition": [1, 1], "regular": False, "pi0": "1"}
+
+# Each value makes the writer reuse the key text it worked out for an earlier dict.
+MEMO_VALUES = {
+    "records sharing keys": [dict(_RECORD, label=f"C{i}", partition=[i, 1]) for i in range(4)],
+    "another insertion order": [_RECORD, dict(reversed(list(_RECORD.items())))],
+    "one key sequence at two depths": {"a": {"a": 1, "b": [2]}, "b": [{"a": 3, "b": 4}],
+                                       "c": [[{"a": 5, "b": {"a": None, "b": True}}]]},
+    "records among non-string keys": [_RECORD, {1: "x", 2: [_RECORD]}, _RECORD,
+                                      {True: 0, False: 1}, {0.5: None, -1.5: _RECORD},
+                                      {"1": "x", "2": "y"}, {1: "z", 2: "w"}],
+    "mixed scalars": [True, 1, None, False, 0, -7, 2 ** 70, [None, 1, True], "s"],
+    "IntEnum values and keys": [{"a": _Level.LOW, "b": [_Level.HIGH, 2]},
+                                {_Level.HIGH: "h", _Level.LOW: "l"}, {2: "h", 1: "l"}],
+    "str subclass values and keys": [{"a": "x", "b": "y"}, {"a": _Backwards("x")},
+                                     {_Backwards("a"): "x", _Backwards("b"): "y"},
+                                     {"a": "x", "b": "y"}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_VALUES))
+def test_json_writer_reuses_key_texts_only_where_json_dumps_agrees(name):
+    value = MEMO_VALUES[name]
+    assert cli._indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("argv", [

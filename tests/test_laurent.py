@@ -65,6 +65,20 @@ def test_scale_exponents_is_adams_shape():
     assert p.scale_exponents(3) == lp(2, {(3, 0): 1, (0, 3): 1})
 
 
+def test_scale_exponents_by_zero_sums_the_colliding_terms():
+    x = LaurentPolynomial.variable(1, 0)
+    assert (x + x ** 2).scale_exponents(0) == LaurentPolynomial.constant(1, 2)
+    assert not (x - x ** 2).scale_exponents(0)
+
+
+@given(small_laurents)
+@example(lp(2, {(1, 0): 1, (0, 1): 1}))
+@example(lp(2, {(1, 0): 2, (-1, 2): -2}))
+def test_scale_exponents_by_zero_is_substitution_of_one(a):
+    one = LaurentPolynomial.constant(2, 1)
+    assert a.scale_exponents(0) == a.substitute([one, one])
+
+
 def test_apply_matrix_permutation():
     p = lp(2, {(1, 0): 2, (0, 1): 5})
     swap = ((0, 1), (1, 0))

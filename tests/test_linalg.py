@@ -127,6 +127,17 @@ def test_dot_rejects_vectors_of_different_lengths(u, v):
         dot(u, v)
 
 
+@pytest.mark.parametrize("m,v", [
+    (((1, 2, 3),), (1, 1)),
+    (((1, 2),), (1, 1, 1)),
+    (((1, 2), (1, 2, 3)), (1, 1)),
+    (((),), (1,)),
+])
+def test_mat_vec_rejects_a_row_of_another_length(m, v):
+    with pytest.raises(ValueError):
+        mat_vec(m, v)
+
+
 def test_dot_and_mat_vec_match_the_comprehension_forms():
     rng = random.Random(5)
     assert dot((), ()) == 0
