@@ -9,13 +9,13 @@ generator per entry.  `map` stops at the shorter input, so `dot` and
 The elimination routines (`rref`, `mat_rank`, `nullspace`, `solve`, `mat_det`,
 `mat_inverse`) work over any field object with the methods `add`, `sub`,
 `mul`, `neg` and `inv`, whose elements compare equal to the ints 0 and 1 at
-zero and one.  `QQ` below is the rationals; `gf.FiniteField` is F_{p^k} on
-int-encoded elements.  Matrices there are lists (or tuples) of rows.
+zero and one.  `QQ` below is the rationals, and it imports `fractions` on its
+first division; `gf.FiniteField` is F_{p^k} on int-encoded elements.
+Matrices there are lists (or tuples) of rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -56,6 +56,9 @@ class _Rationals:
         return -a
 
     def inv(self, a):
+        # `fractions` loads `decimal`; most jobs never divide over Q
+        from fractions import Fraction
+
         return Fraction(1, a)
 
     def __repr__(self) -> str:

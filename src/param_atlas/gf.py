@@ -14,6 +14,7 @@ field-generic kernel of `_linalg`, re-exported here.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from ._linalg import mat_det, mat_inverse, mat_rank, nullspace, rref
 from .root_datum import _is_prime
@@ -178,6 +179,29 @@ class FiniteField:
         if e < 0:
             raise ZeroDivisionError("inverse of zero in finite field")
         return 0 if e else 1
+
+    def evaluate(self, terms, values) -> int:
+        """Sum of c * v^e over the (e, c) pairs of a Laurent polynomial, at encoded v.
+
+        At unit values a term is one table read, exp[log c + <e, log v>], its
+        exponent one C-level dot product.  A term with a positive power of a zero
+        value is 0; one with a negative power of a zero value raises
+        ZeroDivisionError, whatever its coefficient.
+        """
+        log, exp, p, n = self.log, self.exp, self.p, self.order - 1
+        logs = [log[v] for v in values]
+        zeros = [i for i, v in enumerate(values) if not v]
+        total = 0
+        for e, c in terms:
+            lc = log[c % p]
+            if zeros:
+                powers = [e[i] for i in zeros if e[i]]
+                if powers:
+                    if min(powers) < 0:
+                        raise ZeroDivisionError("inverse of zero in finite field")
+                    lc = -1
+            total = self.add(total, exp[(lc + sum(map(mul, e, logs))) % n] if lc >= 0 else 0)
+        return total
 
     def elements(self) -> range:
         return range(self.order)

@@ -158,15 +158,13 @@ class LaurentPolynomial:
     # -- evaluation --------------------------------------------------------
 
     def evaluate_in_field(self, field, values: tuple[int, ...]) -> int:
-        """Evaluate at encoded elements of a FiniteField; values must be units."""
-        total = 0
-        for e, c in self.terms.items():
-            term = field.from_int(c)
-            for v, k in zip(values, e):
-                if k:
-                    term = field.mul(term, field.pow(v, k))
-            total = field.add(total, term)
-        return total
+        """Evaluate at encoded elements of a FiniteField, one value per variable.
+
+        `FiniteField.evaluate` reads each term off the field's log table; a
+        negative power of a zero value raises ZeroDivisionError.
+        """
+        self._check_arity(values)
+        return field.evaluate(self.terms.items(), values)
 
     def substitute(self, values: list["LaurentPolynomial"]) -> "LaurentPolynomial":
         """Substitute a polynomial for each variable (negative powers need monomials).
@@ -174,10 +172,11 @@ class LaurentPolynomial:
         The powers of each value are built once, one multiplication per step
         up to the largest exponent that occurs.
         """
+        self._check_arity(values)
         rank = values[0].rank
         one = LaurentPolynomial.constant(rank, 1)
         powers = []
-        for j, v in enumerate(values[:self.rank]):
+        for j, v in enumerate(values):
             used = [e[j] for e in self.terms]
             table = {0: one}
             for k in range(1, max(used, default=0) + 1):
@@ -196,6 +195,11 @@ class LaurentPolynomial:
             for m, d in term.terms.items():
                 out[m] = out.get(m, 0) + c * d
         return LaurentPolynomial(rank, out)
+
+    def _check_arity(self, values) -> None:
+        if len(values) != self.rank:
+            raise ValueError(
+                f"{len(values)} values for a polynomial in {self.rank} variables")
 
     # -- inspection and printing -------------------------------------------
 

@@ -9,6 +9,8 @@ the census or the ring presentations except as the object under test;
 twisted-orbit enumeration refuses twists that are not automorphisms through
 `ExplicitGroup.automorphism_images`, the check `twisted_class_count` makes, and
 the tests check its homomorphism test against the all-pairs definition.
+Only `jacobian_probe` and `eval_identity_trials` run the fixed-ring code, so
+they import `invariant_rings` when called, and the other oracles never load it.
 """
 
 from __future__ import annotations
@@ -16,22 +18,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from . import gf
 from ._linalg import solve
 from .budget import check_budget
-from .census import ExplicitGroup
-from .coverage import StandardLevi
-from .gf import FiniteField
-from .invariant_rings import (
-    adams,
-    bg_presentation,
-    frobenius_pullback,
-    fundamental_invariants,
-    rewrite_in_generators,
-)
 from .root_datum import GroupDatum, build_group
+
+if TYPE_CHECKING:
+    from .census import ExplicitGroup
+    from .coverage import StandardLevi
+    from .gf import FiniteField
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -590,6 +587,8 @@ def jacobian_probe(field: FiniteField, kind: str, q: int, sigma: Matrix,
     coordinates (trace, and det for GL) map the kernel onto the tangent space
     of the fixed ring at the image point.  No numerics are involved.
     """
+    from .invariant_rings import bg_presentation
+
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q}")
     if kind not in ("SL", "GL"):
@@ -657,6 +656,13 @@ class IdentityReport:
 def eval_identity_trials(datum: GroupDatum, q: int, field: FiniteField, trials: int,
                          seed: int = 0) -> IdentityReport:
     """Check rewrite(adams(Fr* g, q)) against direct evaluation at random tori."""
+    from .invariant_rings import (
+        adams,
+        frobenius_pullback,
+        fundamental_invariants,
+        rewrite_in_generators,
+    )
+
     gens = fundamental_invariants(datum)
     pulled = [adams(frobenius_pullback(datum, g), q) for g in gens.polys]
     rewritten = [rewrite_in_generators(datum, gens, p) for p in pulled]

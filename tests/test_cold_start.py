@@ -1,7 +1,8 @@
 """What a cold CLI job imports, and that the benchmark tracer still sees each call.
 
 Each subcommand imports its modules inside its handler, so a `census` job
-never loads the finite-field or fixed-ring code.  perfbench/tracer.py wraps
+never loads the finite-field or fixed-ring code, and `oracle` imports the
+fixed-ring code only inside the two oracles that run it.  perfbench/tracer.py wraps
 its targets in their home modules before the job runs; a handler-level
 import must pick those wrappers up, so every span is recorded exactly once.
 """
@@ -27,11 +28,18 @@ if sys.argv[1:]:
         assert cli.main(sys.argv[1:]) == 0
 else:
     import param_atlas
-print(json.dumps(sorted(m[len("param_atlas."):] for m in sys.modules
-                        if m.startswith("param_atlas."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 ATLAS_ONLY = {"gf", "oracle", "invariant_rings", "laurent"}
+RINGS = {"invariant_rings", "laurent"}
+
+# the oracle jobs of the benchmark
+COMMUTANT = "oracle commutant --group sl2 --q 3 --ell 2 --field-degree 8 --seed 1"
+IDENTITIES_GL3 = "oracle identities --group gl3 --q 4 --ell 17 --field-degree 2 --trials 400"
+IDENTITIES_GSP6 = "oracle identities --group gsp6 --q 5 --ell 11 --trials 200 --seed 1"
+TWISTED = "oracle twisted --order 500"
+AVOIDANT = "oracle avoidant --group gsp6 --q 3 --ell 7 --seed 1"
 
 
 def _run(argv: list[str]) -> str:
@@ -41,8 +49,12 @@ def _run(argv: list[str]) -> str:
     return proc.stdout
 
 
-def _loaded(*argv: str) -> set[str]:
+def _modules(*argv: str) -> set[str]:
     return set(json.loads(_run([sys.executable, "-c", LOADED, *argv])))
+
+
+def _loaded(*argv: str) -> set[str]:
+    return {m[len("param_atlas."):] for m in _modules(*argv) if m.startswith("param_atlas.")}
 
 
 def test_bare_import_loads_no_submodule():
@@ -53,11 +65,33 @@ def test_bare_import_loads_no_submodule():
     ("census --group gsp4 --ell 5", ATLAS_ONLY),
     ("coverage --group gsp6 --ell 5", ATLAS_ONLY),
     ("bg-ring --group gsp4 --q 9", {"census", "coverage", "gf", "oracle"}),
+    (COMMUTANT, {"census", "coverage", *RINGS}),
+    (IDENTITIES_GL3, {"census", "coverage"}),
+    (IDENTITIES_GSP6, {"census", "coverage"}),
+    (TWISTED, {"coverage", *RINGS}),
+    (AVOIDANT, RINGS),
 ])
 def test_subcommand_loads_only_its_modules(argv, never):
     loaded = _loaded(*argv.split())
     assert "cli" in loaded
     assert loaded & never == set()
+
+
+# `fractions` (and `decimal` with it) loads on the first division over Q.  The
+# one such division is the rank check of the simple roots that the Weyl-orbit
+# code runs (`root_datum._simple_pairs`): `bg-ring` and the identity trials
+# reach it, the other jobs never do.
+@pytest.mark.parametrize("argv,divides", [
+    ("census --group sl30 --ell 5", False),
+    ("coverage --group gl16", False),
+    (COMMUTANT, False),
+    (TWISTED, False),
+    (AVOIDANT, False),
+    ("bg-ring --group gsp4 --q 9", True),
+    (IDENTITIES_GSP6, True),
+])
+def test_fractions_load_only_where_a_rational_elimination_divides(argv, divides):
+    assert ("fractions" in _modules(*argv.split())) == divides
 
 
 # Spans per name, as recorded when `cli` still bound every handler's functions
@@ -70,6 +104,14 @@ TRACED_SPANS = {
         "census.census": 1, "census.partitions": 1, "census.unipotent_classes": 1,
         "census.component_group": 4, "census.cyclic_group": 4,
         "census.twisted_class_count": 2, "census.ExplicitGroup.__init__": 2,
+    },
+    "oracle identities --group gl2 --q 3 --ell 5 --trials 3": {
+        "cli.main": 1, "cli.cmd_oracle_identities": 1, "root_datum.build_group": 1,
+        "gf.FiniteField.__init__": 1, "oracle.eval_identity_trials": 1,
+        "invariant_rings.fundamental_invariants": 1, "invariant_rings.orbit_sum": 2,
+        "invariant_rings.frobenius_pullback": 2, "invariant_rings.adams": 2,
+        "invariant_rings.rewrite_in_generators": 2, "root_datum.height": 3,
+        "root_datum.orbit_of_weight": 5, "laurent.LaurentPolynomial.evaluate_in_field": 18,
     },
     "oracle twisted --order 50": {
         "cli.main": 1, "cli.cmd_oracle_twisted": 1, "census.cyclic_group": 1,

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from param_atlas.gf import get_field
 from param_atlas.laurent import LaurentPolynomial
@@ -251,3 +251,84 @@ def test_product_with_zero_has_no_terms():
     assert (p * 0).terms == {}
     assert (0 * p).terms == {}
     assert (p * LaurentPolynomial.zero(3)).terms == {}
+
+
+# -- evaluation in a finite field ------------------------------------------------
+
+
+def test_evaluate_and_substitute_reject_a_value_count_other_than_the_rank():
+    x, y = LaurentPolynomial.variable(2, 0), LaurentPolynomial.variable(2, 1)
+    p = x * y + y
+    f = get_field(7)
+    assert p.evaluate_in_field(f, (3, 2)) == 1
+    for values in ((3,), (3, 2, 5), ()):
+        with pytest.raises(ValueError, match=f"{len(values)} values .* 2 variables"):
+            p.evaluate_in_field(f, values)
+    assert p.substitute([y, x]) == x * y + x
+    for values in ([x], [x, y, x]):
+        with pytest.raises(ValueError, match=f"{len(values)} values .* 2 variables"):
+            p.substitute(values)
+
+
+def _per_variable_value(field, p, values):
+    """The evaluation loop the log-table one replaced: a pow and a mul per variable."""
+    total = 0
+    for e, c in p.terms.items():
+        term = field.from_int(c)
+        for v, k in zip(values, e):
+            if k:
+                term = field.mul(term, field.pow(v, k))
+        total = field.add(total, term)
+    return total
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+EVAL_FIELDS = [(7, 1), (11, 1), (3, 2), (2, 8), (17, 2)]
+
+
+def _assert_agrees(field, poly, values):
+    want = _outcome(lambda: _per_variable_value(field, poly, values))
+    assert _outcome(lambda: poly.evaluate_in_field(field, values)) == want, (poly, values)
+    return want
+
+
+@pytest.mark.parametrize("p,k", EVAL_FIELDS)
+def test_evaluate_in_field_matches_the_per_variable_loop_at_zeros(p, k):
+    f = get_field(p, k)
+    top = f.order - 1
+    cases = [
+        ({(2, 0, -1): 3}, (0, 5, 1), 0),                            # positive power of a zero
+        ({(0, 0, -1): p, (1, 0, 0): 1}, (2, 1, 0), ZeroDivisionError),  # p * z^-1 at z = 0
+        ({(1, 0, 0): 1, (0, 2, -2): 2 * p}, (1, 0, 0), ZeroDivisionError),
+        ({(-1, 0, 0): 1, (0, 0, 0): 4}, (1, 0, 0), 5 % p),          # zeros under exponent 0
+        ({(1, 0, 0): 2 * p, (0, 0, 0): 1}, (3, 2, 4), 1),           # a multiple of p is 0
+        ({(top, -2 * top - 1, 7): -5}, (top, 2, top - 1), None),     # the log sum wraps
+    ]
+    for terms, values, expected in cases:
+        got = _assert_agrees(f, LaurentPolynomial(3, terms), values)
+        assert expected is None or got == expected, (terms, values)
+
+
+@st.composite
+def _evaluation_cases(draw, p, order):
+    # large exponents wrap the log sum more than once; multiples of p zero a term
+    exponents = st.tuples(*[st.integers(-40, 40)] * 3)
+    coefficients = st.one_of(st.integers(-30, 30), st.integers(-4, 4).map(lambda k: k * p))
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=6))
+    values = draw(st.tuples(*[st.one_of(st.just(0), st.integers(1, order - 1))] * 3))
+    return LaurentPolynomial(3, terms), values
+
+
+@pytest.mark.parametrize("p,k", EVAL_FIELDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluate_in_field_matches_the_per_variable_loop(p, k, data):
+    f = get_field(p, k)
+    poly, values = data.draw(_evaluation_cases(p, f.order))
+    _assert_agrees(f, poly, values)
